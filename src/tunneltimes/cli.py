@@ -217,13 +217,14 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                         oracle = oracle_fn(packet, barrier, qcfg)
                         gap = abs(closed - oracle)
                         ok = gap <= tol
-                    except NonConvergenceError:
+                    except NonConvergenceError as exc:
                         # unresolvable structure (e.g. the near-branch-point
-                        # pole of a vanishing barrier) counts as a failure
+                        # pole of a vanishing barrier) counts as a failure;
+                        # the message names where refinement stalled
                         oracle = None
                         gap = None
                         ok = False
-                        note = "oracle did not converge"
+                        note = str(exc)
                     all_pass = all_pass and ok
                     gaps[(name, k0, l0)] = gap
                     report["rows"].append({

@@ -17,8 +17,14 @@ independent of any residue bookkeeping. Two PV prescriptions are available:
 Panels never exceed half an oscillation period pi/L0 of the exp(ikL0)
 factors; each panel is scored by a 10- vs 20-point Gauss-Legendre pair and
 bisected until the disagreement fits the local share of the error budget.
-Evaluation order is fixed, so results are bit-deterministic for a given
-configuration.
+Refinement is level-synchronous, in the manner of scipy.integrate.quad_vec:
+all panels of one level are scored together, their 10 and 20 nodes in one
+integrand call per block of at most _BLOCK_PANELS panels, and the rejected
+ones are bisected into the next level. Each level is charged to the panel
+budget before it is evaluated, so a refinement that cannot finish raises at
+once and names the level and k-interval where it stalled. Accepted panels are
+summed one by one in order of their left edge, the order of a depth-first
+walk, so results are bit-deterministic for a given configuration.
 
 The truncation window is an absolute half-width around k0 (always covering a
 symmetric neighborhood of 0). Keeping it fixed as L0 grows makes the window
@@ -37,10 +43,14 @@ import numpy as np
 from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
 from .phasetime import phase_time_grid
 from .scattering import Barrier, amplitude_grid
-from .wavepacket import Packet, f_amp, f_amp_deriv, momentum_density
+from .wavepacket import Packet, f_amp_and_deriv, momentum_density
 
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
 _X20, _W20 = np.polynomial.legendre.leggauss(20)
+# Both rules' nodes in one row, so one integrand call scores a panel.
+_X30 = np.concatenate([_X10, _X20])
+# Panels per integrand call: bounds the node arrays at 2048 * 30 points.
+_BLOCK_PANELS = 2048
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,10 @@ class QuadratureConfig:
 
     epsilon = 0 selects analytic subtraction; epsilon > 0 the smeared
     regulator. window_half_width is an absolute wavenumber half-width; it is
-    never allowed below 20 oscillation wavelengths (40*pi/L0).
+    never allowed below 20 oscillation wavelengths (40*pi/L0). max_panels
+    caps the panels evaluated, first level included; each refinement level
+    is charged in full before it is evaluated, so the budget fails at the
+    first level that would overrun it.
     """
 
     epsilon: float = 0.0
@@ -69,28 +82,25 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _score(f_eval, a, b):
+    """(I10, I20, max gross |f| on the 20 nodes) of the panels [a, b].
 
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise NonConvergenceError("panel budget exhausted before tolerance")
-
-
-def _gauss_pair(f_eval, lo: float, hi: float, budget: _Budget):
-    """(I10, I20, max gross |f|) Gauss-Legendre estimates of one panel."""
-    budget.spend()
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    v10, _ = f_eval(mid + half * _X10)
-    v20, g20 = f_eval(mid + half * _X20)
-    i10 = half * np.dot(v10, _W10)
-    i20 = half * np.dot(v20, _W20)
-    return complex(i10), complex(i20), float(np.max(g20))
+    Evaluates both rules' nodes in one integrand call per block of at most
+    _BLOCK_PANELS panels.
+    """
+    mids = 0.5 * (a + b)
+    halves = 0.5 * (b - a)
+    # Blocks of equal size: a one-row block would take BLAS's vector-dot
+    # route, which rounds differently from the matrix route of the others.
+    step = math.ceil(len(a) / math.ceil(len(a) / _BLOCK_PANELS))
+    i10, i20, fmax = [], [], []
+    for s in range(0, len(a), step):
+        h = halves[s:s + step]
+        vals, gross = f_eval(mids[s:s + step, None] + h[:, None] * _X30)
+        i10.append(np.dot(vals[:, :10], _W10) * h)
+        i20.append(np.dot(vals[:, 10:], _W20) * h)
+        fmax.append(np.max(gross[:, 10:], axis=1))
+    return np.concatenate(i10), np.concatenate(i20), np.concatenate(fmax)
 
 
 def _estimate_residue(f, pole: float, d: float) -> complex:
@@ -130,7 +140,9 @@ def pv_integrate(
     Raises
     ------
     NonConvergenceError
-        If the panel budget is exhausted first.
+        If the next refinement level would overrun config.max_panels. The
+        message names the level, its unresolved panels and the k-interval
+        they span.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -178,52 +190,53 @@ def pv_integrate(
     # Breakpoints at the poles keep every Gauss node strictly off them.
     edges = sorted({lo, hi, *inside})
     cap = math.pi / oscillation_length if oscillation_length > 0.0 else math.inf
-    panels: list[tuple[float, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, math.ceil((b - a) / cap)) if math.isfinite(cap) else 16
-        pts = np.linspace(a, b, n + 1)
-        panels.extend(zip(pts[:-1], pts[1:]))
+    lefts, rights = [], []
+    for ea, eb in zip(edges[:-1], edges[1:]):
+        n = max(1, math.ceil((eb - ea) / cap)) if math.isfinite(cap) else 16
+        pts = np.linspace(ea, eb, n + 1)
+        lefts.append(pts[:-1])
+        rights.append(pts[1:])
+    a, b = np.concatenate(lefts), np.concatenate(rights)
 
-    budget = _Budget(config.max_panels)
-
-    # First pass in bulk to fix the error-budget scale.
-    arr = np.asarray(panels)
-    mids = 0.5 * (arr[:, 0] + arr[:, 1])
-    halves = 0.5 * (arr[:, 1] - arr[:, 0])
-    budget.spend(len(panels))
-    f10, _ = f_eval((mids[:, None] + halves[:, None] * _X10))
-    f20, g20 = f_eval((mids[:, None] + halves[:, None] * _X20))
-    v10 = np.dot(f10.reshape(len(panels), 10), _W10) * halves
-    v20 = np.dot(f20.reshape(len(panels), 20), _W20) * halves
-    fmax = np.max(g20.reshape(len(panels), 20), axis=1)
-    scale = float(np.sum(np.abs(v20)))
-    if scale == 0.0:
-        scale = 1e-300
     width_total = hi - lo
-    tol_per_width = config.rel_tol * scale / width_total
-
-    total = 0.0 + 0.0j
-    work: list[tuple[float, float, complex, complex, float]] = []
-    for (a, b), i10, i20, fm in zip(panels, v10, v20, fmax):
-        work.append((a, b, complex(i10), complex(i20), float(fm)))
-    # Depth-first, left-to-right: deterministic accumulation order.
-    work.reverse()
-    while work:
-        a, b, i10, i20, fm = work.pop()
+    used = 0
+    level = 0
+    acc_a, acc_i = [], []
+    while len(a):
+        used += len(a)
+        if used > config.max_panels:
+            raise NonConvergenceError(
+                f"panel budget max_panels={config.max_panels} exhausted at "
+                f"refinement level {level}: {len(a)} unresolved panels span "
+                f"k in [{a.min():.9g}, {b.max():.9g}]"
+            )
+        i10, i20, fm = _score(f_eval, a, b)
+        if level == 0:
+            # The first level fixes the error-budget scale.
+            scale = float(np.sum(np.abs(i20)))
+            if scale == 0.0:
+                scale = 1e-300
+            tol_per_width = config.rel_tol * scale / width_total
+        width = b - a
         # The sampled-magnitude floor is the rounding level inherent to any
         # quadrature of this panel; without it, near-singular refinement
         # chains and cancellation-noise integrands would split forever.
-        floor = 1e-14 * fm * (b - a)
-        if (abs(i10 - i20) <= tol_per_width * (b - a) + floor
-                or (b - a) < 1e-13 * width_total):
-            total += i20
-            continue
+        floor = 1e-14 * fm * width
+        ok = ((np.abs(i10 - i20) <= tol_per_width * width + floor)
+              | (width < 1e-13 * width_total))
+        acc_a.append(a[ok])
+        acc_i.append(i20[ok])
+        a, b = a[~ok], b[~ok]
         m = 0.5 * (a + b)
-        l10, l20, lf = _gauss_pair(f_eval, a, m, budget)
-        r10, r20, rf = _gauss_pair(f_eval, m, b, budget)
-        work.append((m, b, r10, r20, rf))
-        work.append((a, m, l10, l20, lf))
+        a, b = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()
+        level += 1
 
+    # Left to right, one at a time: the order of a depth-first walk. A
+    # pairwise np.sum would change the bits.
+    order = np.argsort(np.concatenate(acc_a), kind="stable")
+    total = 0.0 + 0.0j
+    for v in np.concatenate(acc_i)[order].tolist():
+        total += v
     return total + analytic
 
 
@@ -301,8 +314,9 @@ def oracle_delay_B(
 
     def g(k):
         F_p, F_m, _, _ = amplitude_grid(k, barrier)
-        bracket = (f_amp(k - k0, packet, a) * f_amp_deriv(k + k0, packet, a)
-                   - f_amp(k + k0, packet, a) * f_amp_deriv(k - k0, packet, a))
+        f_m, df_m = f_amp_and_deriv(k - k0, packet, a)
+        f_p, df_p = f_amp_and_deriv(k + k0, packet, a)
+        bracket = f_m * df_p - f_p * df_m
         return (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * bracket
 
     val = pv_integrate(

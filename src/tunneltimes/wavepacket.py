@@ -74,18 +74,28 @@ def _quot_deriv(z):
     return out
 
 
-def f_amp(q, packet: Packet, barrier_width: float):
-    """Momentum amplitude f*(q) of the incoming state at offset q = k - k0.
+def f_amp_and_deriv(q, packet: Packet, barrier_width: float):
+    """(f*(q), d f*/dq) as arrays at offsets q = k - k0.
 
     f*(q) = (1/sqrt(L0)) e^{i q a/2} (1 - e^{i q L0})/(-i q), with the q -> 0
-    limit sqrt(L0) taken analytically.
+    limit sqrt(L0) taken analytically. Both share the phase e^{i q a/2} and
+    the quotient, which the oscillatory delay integrand needs at once.
     """
-    q = np.asarray(q, dtype=complex)
-    scalar = q.ndim == 0
-    L0 = packet.L0
-    val = (np.exp(1j * np.atleast_1d(q) * barrier_width / 2.0)
-           * math.sqrt(L0) * _quot(1j * q * L0))
-    return complex(val[0]) if scalar else val
+    q = np.atleast_1d(np.asarray(q, dtype=complex))
+    L0, a = packet.L0, barrier_width
+    z = 1j * q * L0
+    phase = np.exp(1j * q * a / 2.0)
+    quot = _quot(z)
+    root = math.sqrt(L0)
+    f = phase * root * quot
+    df = phase * (root * (quot * (1j * a / 2.0) + _quot_deriv(z) * 1j * L0))
+    return f, df
+
+
+def f_amp(q, packet: Packet, barrier_width: float):
+    """Momentum amplitude f*(q) of the incoming state at offset q = k - k0."""
+    val = f_amp_and_deriv(q, packet, barrier_width)[0]
+    return complex(val[0]) if np.ndim(q) == 0 else val
 
 
 def f_amp_conj(q, packet: Packet, barrier_width: float):
@@ -94,14 +104,9 @@ def f_amp_conj(q, packet: Packet, barrier_width: float):
 
 
 def f_amp_deriv(q, packet: Packet, barrier_width: float):
-    """Derivative d f*/dq, needed by the oscillatory delay integrand."""
-    q = np.asarray(q, dtype=complex)
-    scalar = q.ndim == 0
-    L0, a = packet.L0, barrier_width
-    z = 1j * q * L0
-    core = math.sqrt(L0) * (_quot(z) * (1j * a / 2.0) + _quot_deriv(z) * 1j * L0)
-    val = np.exp(1j * np.atleast_1d(q) * a / 2.0) * core
-    return complex(val[0]) if scalar else val
+    """Derivative d f*/dq of the incoming-state amplitude."""
+    val = f_amp_and_deriv(q, packet, barrier_width)[1]
+    return complex(val[0]) if np.ndim(q) == 0 else val
 
 
 def f_amp_conj_deriv(q, packet: Packet, barrier_width: float):

@@ -111,6 +111,11 @@ class TestOracleCompare:
         report = json.loads(out.read_text())
         assert not report["all_pass"]
         assert all(row["validity_warning"] for row in report["rows"])
+        stalled = [row for row in report["rows"] if row["oracle"] is None]
+        assert stalled
+        for row in stalled:
+            assert "refinement level" in row["note"]
+            assert "max_panels=" in row["note"]
 
 
 class TestResonancesCmd:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tunneltimes.errors import (
     ImaginaryResidueError,
     NonConvergenceError,
 )
+import tunneltimes.quadrature as quadrature
 from tunneltimes.quadrature import (
     QuadratureConfig,
     _check_real,
@@ -37,6 +39,22 @@ class TestPvIntegrate:
         expect = 2j * sici(K * L)[0]
         assert val == pytest.approx(expect, abs=1e-6)
         assert abs(val - 1j * math.pi) < 2.5 / (K * L)
+
+    def test_oscillatory_cauchy_kernel_in_blocks(self):
+        # 2K/(pi/L) = 5093 first-level panels: more than one block each level
+        L, K = 200.0, 40.0
+        sizes = []
+
+        def f(k):
+            sizes.append(k.size)
+            return np.exp(1j * k * L) / k
+
+        val = pv_integrate(f, [0.0], domain=(-K, K), oscillation_length=L)
+        expect = 2j * sici(K * L)[0]
+        assert val == pytest.approx(expect, abs=1e-6)
+        assert abs(val - 1j * math.pi) < 2.5 / (K * L)
+        assert max(sizes) <= 30 * quadrature._BLOCK_PANELS
+        assert sum(sizes) >= 30 * 5093
 
     def test_smooth_gaussian(self):
         val = pv_integrate(lambda k: np.exp(-(k * k)) + 0j, [],
@@ -67,6 +85,24 @@ class TestPvIntegrate:
         with pytest.raises(NonConvergenceError):
             pv_integrate(lambda k: np.exp(40j * k) / (k * k + 1e-6), [],
                          cfg, domain=(-30.0, 30.0), oscillation_length=40.0)
+
+    def test_budget_failure_names_where_it_stalled(self):
+        # a spike of width 1e-10 at k = 0.3 cannot be resolved in 200 panels
+        cfg = QuadratureConfig(max_panels=200)
+        with pytest.raises(NonConvergenceError) as info:
+            pv_integrate(lambda k: 1.0 / ((k - 0.3) ** 2 + 1e-20) + 0j, [],
+                         cfg, domain=(-1.0, 2.0))
+        msg = str(info.value)
+        assert "max_panels=200" in msg
+        found = re.search(r"refinement level (\d+): (\d+) unresolved panels "
+                          r"span k in \[(\S+), (\S+)\]", msg)
+        assert found, msg
+        level, count = int(found[1]), int(found[2])
+        k_lo, k_hi = float(found[3]), float(found[4])
+        assert level >= 1
+        assert 0 < count <= 200
+        assert -1.0 <= k_lo < 0.3 < k_hi <= 2.0
+        assert k_hi - k_lo < 0.1
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -170,3 +206,43 @@ class TestOracles:
         k0 = 2.0 * math.pi / 150.0
         p = Packet(k0, 150.0)
         assert abs(oracle_delay_B(p, barrier)) < 1e-4
+
+
+class TestFailFast:
+    def test_vanishing_barrier_delay_B_raises_within_100_calls(self, monkeypatch):
+        # The near-branch-point pole of a vanishing barrier cannot be
+        # resolved; the default budget must fail after few integrand calls.
+        calls = []
+        orig = quadrature.amplitude_grid
+
+        def counting(k, barrier):
+            calls.append(k.size)
+            return orig(k, barrier)
+
+        monkeypatch.setattr(quadrature, "amplitude_grid", counting)
+        b = Barrier.from_two_mv(2e-12, 15.0)
+        with pytest.raises(NonConvergenceError):
+            oracle_delay_B(Packet(0.7, 150.0), b)
+        assert 0 < len(calls) <= 100
+
+
+# Oracle values from the earlier depth-first, one-panel-at-a-time refinement.
+# Level-synchronous refinement visits the same panels, so the values may move
+# only by rounding in the last few bits.
+PINNED = [
+    (oracle_inverse_velocity, 0.3, 150.0, 3.270301979651968),
+    (oracle_tunneling_time, 0.3, 150.0, 6.889375275413027),
+    (oracle_delay_B, 0.3, 150.0, 9.220074678424815),
+    (oracle_inverse_velocity, 1.1, 300.0, 0.909453496315921),
+    (oracle_tunneling_time, 1.1, 300.0, 34.60457781312632),
+    (oracle_delay_B, 1.1, 300.0, -0.11937975346542923),
+    (oracle_inverse_velocity, 1.1, 3000.0, 0.908823315902419),
+    (oracle_tunneling_time, 1.1, 3000.0, 34.00740676665289),
+    (oracle_delay_B, 1.1, 3000.0, 0.8017689547432097),
+]
+
+
+@pytest.mark.parametrize("oracle, k0, L0, value", PINNED,
+                         ids=[f"{o.__name__}-{k0}-{L0:g}" for o, k0, L0, _ in PINNED])
+def test_oracle_values_pinned(barrier, oracle, k0, L0, value):
+    assert oracle(Packet(k0, L0), barrier) == pytest.approx(value, rel=1e-12)
