@@ -307,6 +307,8 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
             sidecar["grids"][_fmt(k0)] = {
                 "x_min": spec.x_min, "x_max": spec.x_max, "dx": spec.dx,
                 "dt": spec.dt, "n_steps": n_steps,
+                "norm_drift": rec.norm_drift,
+                "wall_probability": rec.wall_probability,
             }
     if starved == len(k0s):
         raise InsufficientFluxError("no requested k0 produced measurable flux")

@@ -2,8 +2,9 @@
 
 Crank-Nicolson stepping of i dpsi/dt = [-(1/2m) d2/dx2 + V(x)] psi on a
 hard-walled grid: (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi, a Cayley map
-that conserves the discrete norm to rounding. The barrier run and a V = 0
-reference run share the grid, and the measurable delay is the difference of
+that conserves the discrete norm to rounding, stepped on one LAPACK
+tridiagonal LU factorization per run. The barrier run and a V = 0 reference
+run share the grid, and the measurable delay is the difference of
 flux-weighted mean arrival times of the probability current at a detector
 placed past the barrier.
 
@@ -21,8 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, GridTooSmallError, InsufficientFluxError
 from .scattering import Barrier
@@ -79,6 +79,8 @@ class ArrivalRecord:
     detector_x: float
     mean_arrival: float
     transmitted_fraction: float
+    norm_drift: float
+    wall_probability: float
 
 
 def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> Grid1D:
@@ -103,41 +105,38 @@ def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> Grid1D:
     return Grid1D(spec.x_min, spec.x_max, spec.dx, spec.dt, psi, 0)
 
 
-def _stepper(state: Grid1D, barrier: Barrier):
-    """Prefactorized Crank-Nicolson stepper psi -> psi' for this grid."""
+def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
+             probe: slice = slice(0, 0)) -> tuple[np.ndarray, np.ndarray]:
+    """Advance n_steps of Crank-Nicolson; return psi and psi[probe] per step.
+
+    A = I + (i dt/2) H is LU-factored once (zgttrf; under the dt bound A is
+    strictly diagonally dominant, so this cannot break down). B = 2I - A, so
+    the step psi' = A^-1 B psi is the Cayley update 2 A^-1 psi - psi: one
+    zgttrs solve against A/2 (an exact halving) and one subtraction.
+    """
     m = barrier.mass
     if state.dt > m * state.dx * state.dx * (1.0 + 1e-12):
         raise DomainError("dt exceeds the m*dx^2 sanity bound")
-    x = state.x
-    n = len(x)
-    v = np.where(np.abs(x) <= barrier.width / 2.0, barrier.height, 0.0)
+    v = np.where(np.abs(state.x) <= barrier.width / 2.0, barrier.height, 0.0)
     t = 1.0 / (2.0 * m * state.dx * state.dx)
-    diag = 2.0 * t + v
-    off = -t * np.ones(n - 1)
-    h = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    ident = sp.identity(n, format="csc")
-    a_mat = (ident + 0.5j * state.dt * h).tocsc()
-    b_mat = (ident - 0.5j * state.dt * h).tocsr()
-    lu = splu(a_mat)
-
-    def step(psi):
-        return lu.solve(b_mat @ psi)
-
-    return step
+    half_idt = 0.25j * state.dt  # (i dt / 2) / 2: the entries of A/2
+    off = np.full(len(v) - 1, -half_idt * t)
+    dl, d, du, du2, ipiv, info = zgttrf(off, 0.5 + half_idt * (2.0 * t + v), off)
+    if info != 0:
+        raise DomainError(f"Crank-Nicolson factorization failed (zgttrf info={info})")
+    psi = state.amplitudes.copy()
+    samples = np.empty((n_steps,) + psi[probe].shape, dtype=complex)
+    for n in range(n_steps):
+        y, _ = zgttrs(dl, d, du, du2, ipiv, psi)
+        psi = np.subtract(y, psi, out=y)
+        samples[n] = psi[probe]
+    return psi, samples
 
 
 def evolve(state: Grid1D, barrier: Barrier, n_steps: int) -> Grid1D:
     """Advance the state n_steps; unitary up to rounding, deterministic."""
-    step = _stepper(state, barrier)
-    psi = state.amplitudes.copy()
-    for _ in range(n_steps):
-        psi = step(psi)
+    psi, _ = _stepper(state, barrier, n_steps)
     return replace(state, amplitudes=psi, step_count=state.step_count + n_steps)
-
-
-def _current(psi, idx: int, dx: float, m: float) -> float:
-    grad = (psi[idx + 1] - psi[idx - 1]) / (2.0 * dx)
-    return float(np.imag(np.conj(psi[idx]) * grad) / m)
 
 
 def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
@@ -147,31 +146,28 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
     Returns the arrival record and the final state. The mean arrival time is
     the first moment of the probability current J(x_d, t); the transmitted
     fraction is its time integral, i.e. the probability that has crossed the
-    detector by the end of the window.
+    detector by the end of the window. The record's norm drift and wall
+    probability (within 10 dx of either wall) are read from the final state.
     """
     if not (barrier.width / 2.0 < detector_x < spec.x_max - 2 * spec.dx):
         raise DomainError("detector must sit past the barrier and inside the grid")
     state = init_state(packet, barrier, spec)
-    step = _stepper(state, barrier)
-    psi = state.amplitudes.copy()
     idx = int(round((detector_x - spec.x_min) / spec.dx)) - 1
-    m = barrier.mass
-    flux_sum = 0.0
-    t_flux_sum = 0.0
-    for n in range(1, n_steps + 1):
-        psi = step(psi)
-        j = _current(psi, idx, spec.dx, m)
-        if j > 0.0:  # transmitted (outgoing) component only
-            flux_sum += j
-            t_flux_sum += j * (n * spec.dt)
+    psi, s = _stepper(state, barrier, n_steps, slice(idx - 1, idx + 2))
+    grad = (s[:, 2] - s[:, 0]) / (2.0 * spec.dx)
+    j = np.imag(np.conj(s[:, 1]) * grad) / barrier.mass
+    j = np.where(j > 0.0, j, 0.0)  # transmitted (outgoing) component only
+    flux_sum = float(np.sum(j))
     frac = flux_sum * spec.dt
     if frac < 1e-6:
         raise InsufficientFluxError(
             f"transmitted fraction {frac:.3e} below 1e-6 at detector {detector_x}"
         )
-    mean_t = t_flux_sum / flux_sum
+    mean_t = float(np.sum(j * (spec.dt * np.arange(1, n_steps + 1)))) / flux_sum
     final = replace(state, amplitudes=psi, step_count=n_steps)
-    return ArrivalRecord(detector_x, mean_t, frac), final
+    wall = float(np.sum(np.abs(np.r_[psi[:10], psi[-10:]]) ** 2) * spec.dx)
+    return ArrivalRecord(detector_x, mean_t, frac, abs(final.norm() - 1.0),
+                         wall), final
 
 
 def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
@@ -208,18 +204,19 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
                     ) -> tuple[float, ArrivalRecord, ArrivalRecord]:
     """Measured delay: mean arrival with the barrier minus without it.
 
-    Both runs share the grid and window. Returns (delay, barrier_record,
-    free_record).
+    Both runs share the grid and window. A missing spec comes from
+    suggest_grid; a missing n_steps spans suggest_grid's window at spec.dt.
+    Returns (delay, barrier_record, free_record).
 
     Raises
     ------
     InsufficientFluxError
         If the transmitted fraction of the barrier run is below 1e-6.
     """
-    if spec is None or n_steps is None:
-        auto_spec, auto_steps = suggest_grid(packet, barrier, detector_x)
-        spec = spec or auto_spec
-        n_steps = n_steps or auto_steps
+    auto_spec, auto_steps = suggest_grid(packet, barrier, detector_x)
+    spec = auto_spec if spec is None else spec
+    if n_steps is None:
+        n_steps = round(auto_steps * auto_spec.dt / spec.dt)
     rec_barrier, _ = measure_arrival(packet, barrier, spec, detector_x, n_steps)
     free = Barrier(0.0, barrier.width, barrier.mass)
     rec_free, _ = measure_arrival(packet, free, spec, detector_x, n_steps)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tunneltimes
 from tunneltimes.cli import main
 
 
@@ -143,6 +148,9 @@ class TestPropagate:
         assert 0.0 < rows[0][3] <= 1.0
         sidecar = json.loads((tmp_path / "prop.csv.gridinfo.json").read_text())
         assert "1" in sidecar["grids"]
+        grid = sidecar["grids"]["1"]
+        assert 0.0 <= grid["norm_drift"] < 1e-9
+        assert 0.0 <= grid["wall_probability"] < 1.0
 
     def test_free_control_row(self, tmp_path):
         out = tmp_path / "prop.csv"
@@ -162,3 +170,15 @@ class TestPropagate:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_skips_scipy_sparse():
+    # No module needs scipy.sparse, a large import; keep CLI start-up free of it.
+    src = str(Path(tunneltimes.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, tunneltimes.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

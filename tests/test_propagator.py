@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import tunneltimes.propagator as propagator
 from tunneltimes.errors import (
     DomainError,
     GridTooSmallError,
     InsufficientFluxError,
 )
 from tunneltimes.propagator import (
+    ArrivalRecord,
     GridSpec,
     empirical_delay,
     evolve,
@@ -74,6 +76,26 @@ class TestEvolve:
         b = evolve(small_state, barrier, 500)
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("n_steps", [1, 50])
+    def test_matches_dense_crank_nicolson(self, barrier, n_steps):
+        # Dense A psi' = B psi solves guard the Cayley update 2 A^-1 psi - psi
+        # and the reuse of one factorization across steps.
+        spec = GridSpec(-40.0, 20.0, 0.3, 0.04)
+        state = init_state(Packet(1.0, 20.0), barrier, spec)
+        x = state.x
+        assert len(x) == 199
+        v = np.where(np.abs(x) <= barrier.width / 2.0, barrier.height, 0.0)
+        t = 1.0 / (2.0 * barrier.mass * spec.dx ** 2)
+        h = (np.diag(2.0 * t + v) - t * np.eye(len(x), k=1)
+             - t * np.eye(len(x), k=-1))
+        a_mat = np.eye(len(x)) + 0.5j * spec.dt * h
+        b_mat = np.eye(len(x)) - 0.5j * spec.dt * h
+        ref = state.amplitudes
+        for _ in range(n_steps):
+            ref = np.linalg.solve(a_mat, b_mat @ ref)
+        got = evolve(state, barrier, n_steps).amplitudes
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestArrival:
     def test_transmitted_fraction_matches_stationary(self, barrier):
@@ -84,6 +106,22 @@ class TestArrival:
         rec, _ = measure_arrival(packet, barrier, spec, 25.0, 22000)
         t_coeff = abs(amplitudes(k0, barrier).T) ** 2
         assert rec.transmitted_fraction == pytest.approx(t_coeff, rel=0.10)
+
+    def test_pinned_small_grid(self, barrier):
+        # Pinned to the earlier sparse-LU stepper's values, which the LAPACK
+        # stepper reproduces to ~1e-12 relative.
+        rec, final = measure_arrival(Packet(1.0, 30.0), barrier, SMALL, 25.0,
+                                     12000)
+        assert rec.mean_arrival == pytest.approx(40.828628885566424, rel=1e-9)
+        assert rec.transmitted_fraction == pytest.approx(0.08516689572862175,
+                                                         rel=1e-9)
+        assert rec.norm_drift == pytest.approx(abs(final.norm() - 1.0),
+                                               abs=1e-15)
+        assert rec.norm_drift < 1e-9
+        density = np.abs(final.amplitudes) ** 2
+        edges = np.r_[density[:10], density[-10:]]
+        assert rec.wall_probability == pytest.approx(np.sum(edges) * SMALL.dx,
+                                                     rel=1e-12)
 
     def test_detector_must_sit_past_barrier(self, barrier):
         with pytest.raises(DomainError):
@@ -102,6 +140,25 @@ class TestEmpiricalDelay:
         delay, _, _ = empirical_delay(Packet(1.0, 30.0), free, 40.0,
                                       spec, 12000)
         assert abs(delay) <= spec.dt
+
+    def test_window_follows_spec_dt(self, barrier, monkeypatch):
+        # A spec without n_steps gets the suggest_grid window at its own dt.
+        seen = []
+
+        def fake(packet, barrier, spec, detector_x, n_steps):
+            seen.append(n_steps)
+            return ArrivalRecord(detector_x, 1.0, 1.0, 0.0, 0.0), None
+
+        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        packet = Packet(1.5, 30.0)
+        spec, n = suggest_grid(packet, barrier, 30.0)
+        fine = GridSpec(spec.x_min, spec.x_max, spec.dx / 2.0, spec.dt / 4.0)
+        empirical_delay(packet, barrier, 30.0)
+        empirical_delay(packet, barrier, 30.0, fine)
+        empirical_delay(packet, barrier, 30.0, None, 7)
+        assert seen[:2] == [n, n]
+        assert abs(seen[2] * fine.dt - n * spec.dt) <= spec.dt
+        assert seen[4:] == [7, 7]
 
     def test_hartman_sign_moderate_packet(self, barrier):
         packet = Packet(0.5, 40.0)
