@@ -18,6 +18,7 @@ from .closedform import (
     TimeBudget,
     age_difference,
     branch_point_terms,
+    budget_grid,
     delay_A,
     delay_B,
     inverse_velocity,
@@ -37,7 +38,7 @@ from .errors import (
     RegimeViolationError,
     ValidityWarning,
 )
-from .phasetime import PhaseTimeSample, k_tau_limit, phase_time, phase_time_fd
+from .phasetime import k_tau_limit, phase_time, phase_time_fd
 from .propagator import (
     ArrivalRecord,
     Grid1D,

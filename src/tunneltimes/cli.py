@@ -18,7 +18,9 @@ import math
 import sys
 import warnings
 
-from .closedform import age_difference, validity_check
+import numpy as np
+
+from .closedform import age_difference, budget_grid
 from .errors import (
     CountMismatchError,
     DomainError,
@@ -30,7 +32,7 @@ from .errors import (
     RegimeViolationError,
     ValidityWarning,
 )
-from .phasetime import phase_time
+from .phasetime import phase_time, phase_time_grid
 from .propagator import empirical_delay, suggest_grid
 from .quadrature import (
     QuadratureConfig,
@@ -107,15 +109,12 @@ def _barrier(cfg: dict) -> Barrier:
                                float(cfg["mass"]))
 
 
-def _k0_grid(cfg: dict) -> list[float]:
+def _k0_grid(cfg: dict) -> np.ndarray:
     lo, hi, step = float(cfg["k0_min"]), float(cfg["k0_max"]), float(cfg["k0_step"])
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"bad k0 range: [{lo}, {hi}] step {step}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    grid = [lo + i * step for i in range(n)]
-    if not grid:
-        raise ConfigError("empty k0 range")
-    return grid
+    return lo + np.arange(n) * step
 
 
 def _param_comment(cfg: dict, barrier: Barrier) -> str:
@@ -125,12 +124,17 @@ def _param_comment(cfg: dict, barrier: Barrier) -> str:
                 t=_fmt(barrier.l0_sq), v=_fmt(barrier.height)))
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
+def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
+    """One row per element of the broadcast columns, in C order."""
+    cols = np.broadcast_arrays(*columns)
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(comment + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(comment + "\n" + ",".join(header) + "\n")
+        # 64 leading-axis slices at a time keep few Python floats alive
+        for i in range(0, len(cols[0]), 64):
+            block = np.stack([c[i:i + 64] for c in cols], axis=-1)
+            rows = block.reshape(-1, len(cols)).tolist()
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 SWEEP_COLUMNS = [
@@ -140,48 +144,38 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(cfg: dict, barrier: Barrier, k0s, l0s):
+def _closed_grid(cfg: dict, barrier: Barrier, l0s):
+    """k0 grid and the closed-form budget over k0 (rows) x l0s (columns)."""
+    k0s = _k0_grid(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for k0 in k0s:
-            tau = phase_time(k0, barrier)
-            for l0 in l0s:
-                tb = age_difference(Packet(k0, l0), barrier)
-                yield [
-                    k0, l0, barrier.width, barrier.mass, barrier.l0_sq, tau,
-                    tb.t_tunnel, tb.t_outside, tb.t_age, tb.t0, tb.dtau_A,
-                    tb.dtau_B, tb.bp_tunnel_term, tb.bp_outside_term,
-                    tb.validity_ratio,
-                ]
+        return k0s, budget_grid(k0s[:, None], l0s, barrier)
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    k0s = _k0_grid(cfg)
-    l0s = sorted(float(x) for x in cfg["L0"])
-    rows = _sweep_rows(cfg, barrier, k0s, l0s)
-    _write_csv(cfg["out"], _param_comment(cfg, barrier), SWEEP_COLUMNS, rows)
+    k0s, tb = _closed_grid(cfg, barrier, sorted(float(x) for x in cfg["L0"]))
+    tau = phase_time_grid(k0s, barrier)[:, None]
+    _write_csv(cfg["out"], _param_comment(cfg, barrier), SWEEP_COLUMNS, [
+        tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tau,
+        tb.t_tunnel, tb.t_outside, tb.t_age, tb.t0, tb.dtau_A, tb.dtau_B,
+        tb.bp_tunnel_term, tb.bp_outside_term, tb.validity_ratio,
+    ])
     return 0
 
 
 def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    k0s = _k0_grid(cfg)
     l0s = sorted(float(x) for x in cfg["L0"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        if args.which == "fig3":
-            header = ["k0"] + [f"t_tunnel_L{int(l0)}" for l0 in l0s]
-            rows = [[k0] + [age_difference(Packet(k0, l0), barrier).t_tunnel
-                            for l0 in l0s] for k0 in k0s]
-        else:
-            l0 = l0s[0]
-            header = ["k0", "t_age", "t_age0"]
-            rows = []
-            for k0 in k0s:
-                tb = age_difference(Packet(k0, l0), barrier)
-                rows.append([k0, tb.t_age, tb.t0])
-    _write_csv(cfg["out"], _param_comment(cfg, barrier), header, rows)
+    if args.which == "fig3":
+        k0s, tb = _closed_grid(cfg, barrier, l0s)
+        header = ["k0"] + [f"t_tunnel_L{int(l0)}" for l0 in l0s]
+        columns = [k0s, *tb.t_tunnel.T]
+    else:
+        k0s, tb = _closed_grid(cfg, barrier, l0s[:1])
+        header = ["k0", "t_age", "t_age0"]
+        columns = [k0s, tb.t_age[:, 0], tb.t0[:, 0]]
+    _write_csv(cfg["out"], _param_comment(cfg, barrier), header, columns)
     return 0
 
 
@@ -201,7 +195,6 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
             tau = phase_time(k0, barrier)
             for l0 in l0s:
                 packet = Packet(k0, l0)
-                ratio, valid = validity_check(packet, barrier)
                 tb = age_difference(packet, barrier)
                 checks = [
                     ("v_inv", tb.v_inv, oracle_inverse_velocity,
@@ -231,8 +224,8 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                         "quantity": name, "k0": k0, "L0": l0,
                         "closed": closed, "oracle": oracle, "gap": gap,
                         "tolerance": tol, "pass": ok, "note": note,
-                        "validity_ratio": ratio,
-                        "validity_warning": not valid,
+                        "validity_ratio": tb.validity_ratio,
+                        "validity_warning": not tb.valid,
                     })
         for (name, k0, l0), gap in sorted(gaps.items()):
             l0_double = 2.0 * l0
@@ -314,7 +307,7 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
         raise InsufficientFluxError("no requested k0 produced measurable flux")
     _write_csv(cfg["out"], _param_comment(cfg, barrier),
                ["k0", "empirical_delay", "closed_form_delay",
-                "transmitted_fraction"], rows)
+                "transmitted_fraction"], list(zip(*rows)))
     with open(cfg["out"] + ".gridinfo.json", "w", encoding="utf-8",
               newline="\n") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

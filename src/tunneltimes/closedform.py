@@ -6,7 +6,9 @@ subexpressions so the two decompositions
     t_age = t0 + dtau_A + dtau_B        (free age difference + barrier delays)
     t_age = t_tunnel + t_outside        (inside / outside split)
 
-agree to rounding. The building blocks, with x = k0 * L0:
+agree to rounding. One array kernel, budget_grid(), evaluates them over a
+whole (k0, L0) grid; the per-packet helpers are float views of it. The
+building blocks, with x = k0 * L0:
 
     v_inv     = (m/k0) (1 - sin(x)/x)                     average slowness
     t0        = (L0 + a) v_inv                            no-barrier age difference
@@ -29,12 +31,13 @@ so parameter sweeps toward a -> 0 stay usable.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ValidityWarning
-from .phasetime import k_tau_limit, phase_time
+from .phasetime import k_tau_limit, phase_time_grid
 from .scattering import Barrier
 from .wavepacket import Packet
 
@@ -43,7 +46,11 @@ VALIDITY_THRESHOLD = 50.0
 
 @dataclass(frozen=True)
 class TimeBudget:
-    """Every closed-form time for one (k0, L0) point, natural units."""
+    """Every closed-form time for one (k0, L0) point, natural units.
+
+    The per-packet helpers fill it with Python scalars; budget_grid() fills
+    every field with an array of the broadcast shape of k0 and L0.
+    """
 
     k0: float
     L0: float
@@ -60,22 +67,8 @@ class TimeBudget:
     valid: bool
 
 
-def _sinc(x: float) -> float:
-    return math.sin(x) / x if x != 0.0 else 1.0
-
-
-def inverse_velocity(packet: Packet, barrier: Barrier) -> float:
-    """Packet-averaged inverse group velocity (m/k0)(1 - sin(k0 L0)/(k0 L0))."""
-    k0, L0, m = packet.k0, packet.L0, barrier.mass
-    if k0 <= 0.0:
-        raise DomainError(f"needs k0 > 0, got {k0}")
-    return (m / k0) * (1.0 - _sinc(k0 * L0))
-
-
-def t_no_barrier(packet: Packet, barrier: Barrier) -> float:
-    """Age difference with no barrier: (L0 + a) * v_inv."""
-    v = inverse_velocity(packet, barrier)
-    return barrier.width * v + packet.L0 * v
+def _sinc(x):
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def validity_check(packet: Packet, barrier: Barrier) -> tuple[float, bool]:
@@ -84,92 +77,42 @@ def validity_check(packet: Packet, barrier: Barrier) -> tuple[float, bool]:
     return ratio, ratio >= VALIDITY_THRESHOLD
 
 
-def _core_terms(packet: Packet, barrier: Barrier):
-    """(v_inv, bp_tunnel, bp_outside, t_tunnel, t_outside) from shared pieces.
+def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
+    """The budget from shared subexpressions, broadcast over k0 and L0.
 
     With no barrier (V*a = 0) the parity amplitudes are exactly +-1, both
     delays vanish identically and the inside/outside times reduce to the free
     values a*v_inv and L0*v_inv; the barrier formulas (which assume total
     reflection at k = 0) do not apply there.
     """
-    k0, L0, m = packet.k0, packet.L0, barrier.mass
-    if k0 <= 0.0:
-        raise DomainError(f"needs k0 > 0, got {k0}")
+    k0 = np.asarray(k0, dtype=float)
+    L0 = np.asarray(L0, dtype=float)
+    m, a = barrier.mass, barrier.width
+    if np.any(k0 <= 0.0):
+        raise DomainError(f"needs k0 > 0, got {k0.min()}")
+    if np.any(L0 <= 0.0):
+        raise DomainError(f"needs L0 > 0, got {L0.min()}")
     x = k0 * L0
     v = (m / k0) * (1.0 - _sinc(x))
+    tau = phase_time_grid(k0, barrier)
     if barrier.height * barrier.width == 0.0:
-        t_tun = barrier.width * v
+        t_tun = a * v
         t_out = L0 * v
-        bp_tunnel = t_tun - phase_time(k0, barrier)
+        bp_tunnel = t_tun - tau
         bp_outside = t_out - (m / k0) * L0
-        return v, bp_tunnel, bp_outside, t_tun, t_out
-    bp_tunnel = -math.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
-    half = _sinc(x / 2.0)
-    bp_outside = -(m / k0) * L0 * half * half
-    t_tun = phase_time(k0, barrier) + bp_tunnel
-    t_out = (m / k0) * L0 + bp_outside
-    return v, bp_tunnel, bp_outside, t_tun, t_out
-
-
-def branch_point_terms(packet: Packet, barrier: Barrier) -> tuple[float, float]:
-    """Continuum-edge terms: deviations of t_tunnel from tau_ph(k0) and of
-    t_outside from (m/k0) L0. Both are <= 0 for k0 L0 in (0, pi)."""
-    _, bp_tunnel, bp_outside, _, _ = _core_terms(packet, barrier)
-    return bp_tunnel, bp_outside
-
-
-def tunneling_time(packet: Packet, barrier: Barrier) -> float:
-    """tau_ph(k0) plus the continuum-edge term."""
-    return _core_terms(packet, barrier)[3]
-
-
-def time_outside(packet: Packet, barrier: Barrier) -> float:
-    """(m/k0) L0 (1 - sinc^2(k0 L0 / 2)); non-negative for all k0 > 0."""
-    return _core_terms(packet, barrier)[4]
-
-
-def delay_A(packet: Packet, barrier: Barrier) -> float:
-    """Barrier-induced delay inside the barrier: t_tunnel - a * v_inv.
-
-    Emits ValidityWarning when m*V*a*L0 is below the gate; the value is
-    still returned.
-    """
-    _warn_if_invalid(packet, barrier)
-    return tunneling_time(packet, barrier) - barrier.width * inverse_velocity(
-        packet, barrier
-    )
-
-
-def delay_B(packet: Packet, barrier: Barrier) -> float:
-    """Barrier-induced delay outside the barrier: t_outside - L0 * v_inv."""
-    return time_outside(packet, barrier) - packet.L0 * inverse_velocity(
-        packet, barrier
-    )
-
-
-def _warn_if_invalid(packet: Packet, barrier: Barrier) -> tuple[float, bool]:
-    ratio, ok = validity_check(packet, barrier)
-    # Exactly zero barrier area means the exact free reduction, not a
-    # breakdown of the neglected-residue approximation; no warning there.
-    if not ok and ratio > 0.0:
-        warnings.warn(
-            f"m*V*a*L0 = {ratio:.3g} < {VALIDITY_THRESHOLD:g}: closed forms "
-            "neglect amplitude-pole residues that are not small here",
-            ValidityWarning,
-            stacklevel=3,
-        )
-    return ratio, ok
-
-
-def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
-    """Full closed-form budget; asserts both decompositions by construction."""
-    ratio, ok = _warn_if_invalid(packet, barrier)
-    v, bp_tunnel, bp_outside, t_tun, t_out = _core_terms(packet, barrier)
-    a_v = barrier.width * v
-    l_v = packet.L0 * v
+    else:
+        bp_tunnel = -np.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
+        half = _sinc(x / 2.0)
+        bp_outside = -(m / k0) * L0 * half * half
+        t_tun = tau + bp_tunnel
+        t_out = (m / k0) * L0 + bp_outside
+    a_v = a * v
+    l_v = L0 * v
+    ratio = barrier.mass * barrier.height * barrier.width * L0
+    k0, L0, ratio = np.broadcast_arrays(k0, L0, ratio)
     return TimeBudget(
-        k0=packet.k0,
-        L0=packet.L0,
+        k0=k0,
+        L0=L0,
         v_inv=v,
         t0=a_v + l_v,
         dtau_A=t_tun - a_v,
@@ -180,5 +123,86 @@ def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
         bp_tunnel_term=bp_tunnel,
         bp_outside_term=bp_outside,
         validity_ratio=ratio,
-        valid=ok,
+        valid=ratio >= VALIDITY_THRESHOLD,
     )
+
+
+def _warn_if_invalid(ratio) -> None:
+    # Exactly zero barrier area means the exact free reduction, not a
+    # breakdown of the neglected-residue approximation; no warning there.
+    ratio = np.asarray(ratio)
+    low = ratio[(ratio < VALIDITY_THRESHOLD) & (ratio > 0.0)]
+    if low.size:
+        warnings.warn(
+            f"m*V*a*L0 = {low.min():.3g} < {VALIDITY_THRESHOLD:g}: closed forms "
+            "neglect amplitude-pole residues that are not small here",
+            ValidityWarning,
+            stacklevel=3,
+        )
+
+
+def budget_grid(k0, L0, barrier: Barrier) -> TimeBudget:
+    """Full closed-form budget over a grid, every field broadcast over k0 and L0.
+
+    Raises DomainError if any k0 <= 0 or L0 <= 0. Emits one ValidityWarning per call
+    when m*V*a*L0 is below the gate anywhere; the values are still returned.
+    """
+    tb = _budget(k0, L0, barrier)
+    _warn_if_invalid(tb.validity_ratio)
+    return tb
+
+
+def _at(packet: Packet, barrier: Barrier) -> TimeBudget:
+    """The budget of one packet with every field a Python scalar."""
+    tb = _budget(packet.k0, packet.L0, barrier)
+    return TimeBudget(**{name: val.item() for name, val in vars(tb).items()})
+
+
+def inverse_velocity(packet: Packet, barrier: Barrier) -> float:
+    """Packet-averaged inverse group velocity (m/k0)(1 - sin(k0 L0)/(k0 L0))."""
+    return _at(packet, barrier).v_inv
+
+
+def t_no_barrier(packet: Packet, barrier: Barrier) -> float:
+    """Age difference with no barrier: (L0 + a) * v_inv."""
+    return _at(packet, barrier).t0
+
+
+def branch_point_terms(packet: Packet, barrier: Barrier) -> tuple[float, float]:
+    """Continuum-edge terms: deviations of t_tunnel from tau_ph(k0) and of
+    t_outside from (m/k0) L0. Both are <= 0 for k0 L0 in (0, pi)."""
+    tb = _at(packet, barrier)
+    return tb.bp_tunnel_term, tb.bp_outside_term
+
+
+def tunneling_time(packet: Packet, barrier: Barrier) -> float:
+    """tau_ph(k0) plus the continuum-edge term."""
+    return _at(packet, barrier).t_tunnel
+
+
+def time_outside(packet: Packet, barrier: Barrier) -> float:
+    """(m/k0) L0 (1 - sinc^2(k0 L0 / 2)); non-negative for all k0 > 0."""
+    return _at(packet, barrier).t_outside
+
+
+def delay_A(packet: Packet, barrier: Barrier) -> float:
+    """Barrier-induced delay inside the barrier: t_tunnel - a * v_inv.
+
+    Emits ValidityWarning when m*V*a*L0 is below the gate; the value is
+    still returned.
+    """
+    tb = _at(packet, barrier)
+    _warn_if_invalid(tb.validity_ratio)
+    return tb.dtau_A
+
+
+def delay_B(packet: Packet, barrier: Barrier) -> float:
+    """Barrier-induced delay outside the barrier: t_outside - L0 * v_inv."""
+    return _at(packet, barrier).dtau_B
+
+
+def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
+    """Full closed-form budget; asserts both decompositions by construction."""
+    tb = _at(packet, barrier)
+    _warn_if_invalid(tb.validity_ratio)
+    return tb

@@ -26,7 +26,6 @@ differences of principal-value phase increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,24 +34,18 @@ from .scattering import Barrier, _raw_amplitudes
 from .special import psi_w, sinhc_w
 
 
-@dataclass(frozen=True)
-class PhaseTimeSample:
-    """Phase time at one wavenumber plus the k -> 0 edge coefficient."""
-
-    k: float
-    tau_ph: float
-    k_tau_at_zero: float
-
-
 def phase_time_grid(k, barrier: Barrier):
     """Vectorized closed-form phase time; defined for any real k != 0.
 
-    Odd in k: tau_ph(-k) = -tau_ph(k).
+    Odd in k: tau_ph(-k) = -tau_ph(k). With no barrier (V*a = 0) the
+    transmission phase is exactly k*a and tau_ph = m a / k.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k == 0.0):
         raise DomainError("phase time is singular at k = 0")
     m, a = barrier.mass, barrier.width
+    if barrier.height * barrier.width == 0.0:
+        return m * a / k
     l0_sq = barrier.l0_sq
     u = l0_sq - k * k
     num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)
@@ -62,16 +55,9 @@ def phase_time_grid(k, barrier: Barrier):
 
 
 def phase_time(k: float, barrier: Barrier) -> float:
-    """Closed-form phase time tau_ph(k) for k > 0.
-
-    Raises DomainError for k <= 0 or for a zero-area barrier (V*a = 0), where
-    the k -> 0 normalization below loses its meaning.
-    """
+    """Closed-form phase time tau_ph(k) for k > 0; DomainError for k <= 0."""
     if k <= 0.0:
         raise DomainError(f"phase time needs k > 0, got {k}")
-    if barrier.height * barrier.width == 0.0:
-        # Free limit: the transmission phase is exactly k*a.
-        return barrier.mass * barrier.width / k
     return float(phase_time_grid(k, barrier))
 
 
@@ -85,11 +71,6 @@ def k_tau_limit(barrier: Barrier) -> float:
         raise DomainError("k*tau limit needs a barrier with V*a > 0")
     k0 = barrier.kappa0
     return 2.0 * barrier.mass / (k0 * math.tanh(k0 * barrier.width))
-
-
-def phase_time_sample(k: float, barrier: Barrier) -> PhaseTimeSample:
-    return PhaseTimeSample(k=k, tau_ph=phase_time(k, barrier),
-                           k_tau_at_zero=k_tau_limit(barrier))
 
 
 def transmission_phase_slope(k: float, barrier: Barrier, h: float | None = None) -> float:

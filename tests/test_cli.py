@@ -7,7 +7,23 @@ from pathlib import Path
 import pytest
 
 import tunneltimes
+from tunneltimes import cli, closedform, phasetime, quadrature
 from tunneltimes.cli import main
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace fn by a call-recording wrapper in every package module."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (cli, closedform, phasetime, quadrature):
+        for name, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def read_csv(path):
@@ -47,6 +63,29 @@ class TestSweep:
                      "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--k0-min", "0", "--k0-max", "0.1"],
+                                     ["--l0", "0"]])
+    def test_domain_error_writes_no_file(self, tmp_path, capsys, bad):
+        # every value is computed before the output is opened
+        out = tmp_path / "bad.csv"
+        code = main(["sweep", *bad, "--out", str(out)])
+        assert code == 3
+        assert "domain error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_grid_pass_without_scalar_phase_time(self, tmp_path,
+                                                     monkeypatch):
+        # the whole (k0, L0) grid goes through the array kernels at once
+        grid_calls = _count_calls(monkeypatch, phasetime.phase_time_grid)
+        scalar_calls = _count_calls(monkeypatch, phasetime.phase_time)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--k0-min", "0.002", "--k0-max", "1.0",
+                     "--k0-step", "0.002", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1000  # 500 k0 values x 2 packet widths
+        assert 0 < len(grid_calls) <= 3
+        assert scalar_calls == []
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from tunneltimes.closedform import (
     age_difference,
     branch_point_terms,
+    budget_grid,
     delay_A,
     delay_B,
     inverse_velocity,
@@ -201,6 +204,58 @@ class TestAgeDifference:
                 <= 1e-12 * scale
             assert abs(tb.t_age - (tb.t_tunnel + tb.t_outside)) \
                 <= 1e-12 * scale
+
+
+class TestBudgetGrid:
+    # k0 L0 << 1 down to 5e-4, the three lowest above-barrier resonances of
+    # the reference barrier (k0^2 = 1 + (n pi / 15)^2), and large k0
+    K0 = np.array([1e-4, 0.003, 0.01, 0.5, 0.7,
+                   math.sqrt(1.0 + (math.pi / 15.0) ** 2),
+                   math.sqrt(1.0 + (2.0 * math.pi / 15.0) ** 2),
+                   math.sqrt(1.0 + (3.0 * math.pi / 15.0) ** 2), 1.1, 2.9])
+    L0 = np.array([5.0, 150.0, 300.0, 1e4])
+    BARRIERS = [
+        Barrier.from_two_mv(1.0, 15.0, 1.0),
+        Barrier(0.0, 15.0, 1.0),           # free: V*a = 0
+        Barrier(0.5, 0.0, 1.0),            # free: zero width
+        Barrier.from_two_mv(9.0, 0.2, 2.0),  # below the gate at L0 = 5
+    ]
+
+    @pytest.mark.parametrize("b", BARRIERS)
+    def test_equals_scalar_budget_exactly(self, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            grid = budget_grid(self.K0[:, None], self.L0, b)
+            for f in dataclasses.fields(grid):
+                assert getattr(grid, f.name).shape == (self.K0.size,
+                                                       self.L0.size)
+            for i, k0 in enumerate(self.K0):
+                for j, L0 in enumerate(self.L0):
+                    point = age_difference(Packet(float(k0), float(L0)), b)
+                    for f in dataclasses.fields(point):
+                        assert getattr(grid, f.name)[i, j] \
+                            == getattr(point, f.name), f.name
+
+    def test_any_nonpositive_k0_or_L0_raises(self, barrier):
+        for bad in (0.0, -0.3):
+            with pytest.raises(DomainError):
+                budget_grid(np.array([0.5, bad, 1.0]), 150.0, barrier)
+            with pytest.raises(DomainError):
+                budget_grid(0.5, np.array([150.0, bad]), barrier)
+
+    def test_one_warning_per_call(self):
+        b = Barrier(1e-6, 15.0, 1.0)  # every point below the gate
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            tb = budget_grid(self.K0[:, None], self.L0, b)
+        assert not tb.valid.any()
+        assert [w.category for w in rec] == [ValidityWarning]
+
+    def test_free_barrier_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tb = budget_grid(self.K0[:, None], self.L0, Barrier(0.0, 15.0))
+        assert not tb.dtau_A.any() and not tb.dtau_B.any()
 
 
 class TestBranchPointTerms:

@@ -1,9 +1,10 @@
 """Byte-exact regeneration of the pinned reference curves.
 
-The golden CSVs were generated by the CLI with default parameters after the
-acceptance suite verified the physics they encode (resonance peaks, packet
-dependence near zero momentum, the age-difference dips). Any change to the
-closed forms, formatting, or grid conventions shows up here first.
+The golden CSVs were generated by the CLI with default parameters (plus one
+small free-barrier sweep) after the acceptance suite verified the physics
+they encode (resonance peaks, packet dependence near zero momentum, the
+age-difference dips). Any change to the closed forms, formatting, or grid
+conventions shows up here first.
 """
 
 from pathlib import Path
@@ -23,3 +24,18 @@ def test_fig4_regenerates_identically(tmp_path):
     out = tmp_path / "fig4.csv"
     assert main(["figure", "fig4", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "fig4.csv").read_bytes()
+
+
+def test_sweep_regenerates_identically(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+
+
+def test_free_barrier_sweep_regenerates_identically(tmp_path):
+    # V*a = 0 takes the exact free reduction instead of the barrier formulas
+    out = tmp_path / "sweep_free.csv"
+    assert main(["sweep", "--two-m-v", "0", "--k0-min", "0.05", "--k0-max",
+                 "1.5", "--k0-step", "0.05", "--l0", "40", "--l0", "150",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_free.csv").read_bytes()

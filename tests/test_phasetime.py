@@ -9,7 +9,6 @@ from tunneltimes.phasetime import (
     phase_time,
     phase_time_fd,
     phase_time_grid,
-    phase_time_sample,
 )
 from tunneltimes.scattering import Barrier
 
@@ -100,6 +99,9 @@ def test_oddness(barrier):
 
 
 def test_sample_record(barrier):
-    s = phase_time_sample(0.5, barrier)
-    assert s.tau_ph == pytest.approx(phase_time(0.5, barrier))
-    assert s.k_tau_at_zero == pytest.approx(k_tau_limit(barrier))
+    tau_ph = phase_time(0.5, barrier)
+    k_tau_at_zero = k_tau_limit(barrier)
+    assert tau_ph == pytest.approx(float(phase_time_grid(0.5, barrier)))
+    assert k_tau_at_zero == pytest.approx(
+        2.0 * barrier.mass
+        / (barrier.kappa0 * math.tanh(barrier.kappa0 * barrier.width)))
