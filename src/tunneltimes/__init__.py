@@ -65,7 +65,6 @@ from .resonances import (
     lorentzian_delay,
     reconstruct_amplitude,
     remainder_delay,
-    resonance_delay_logderiv,
     verify_remainder,
     winding_count,
 )

@@ -18,9 +18,16 @@ the complex-kappa evaluation produces once the imaginary parts cancel, so no
 separate trig form is needed above the barrier and the value is real by
 construction.
 
-The independent route differentiates the unwrapped transmission phase:
-tau_ph = (m/k) dtheta/dk, computed by Richardson-extrapolated central
-differences of principal-value phase increments.
+The independent route differentiates the parity phases. Since
+T = (F+ - F-) e^{ika}/2 with unimodular F+-, the transmission phase is
+theta = pi/2 + (theta+ + theta-)/2 + k a, so
+
+    tau_ph = (m/k) (a + (1/2) sum_parity dtheta_parity/dk),
+
+with each slope taken by Richardson-extrapolated central differences of
+principal-value phase increments. Differentiating arg T directly would fail
+in deep tunneling, where T is the difference of two nearly equal unimodular
+amplitudes and its phase is rounding noise.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .scattering import Barrier, _raw_amplitudes
+from .scattering import Barrier, amplitude_grid
 from .special import psi_w, sinhc_w
 
 
@@ -73,33 +80,29 @@ def k_tau_limit(barrier: Barrier) -> float:
     return 2.0 * barrier.mass / (k0 * math.tanh(k0 * barrier.width))
 
 
-def transmission_phase_slope(k: float, barrier: Barrier, h: float | None = None) -> float:
-    """dtheta/dk of the transmission phase by Richardson central differences.
+def _phase_slope(values, x: float) -> float:
+    """Summed Richardson slope d(arg v)/dx at x > 0 of unimodular values.
 
-    Phase increments are taken as principal values of arg(T(k+h)/T(k-h)), so
-    no global unwrapping is required as long as h * dtheta/dk < pi.
+    values maps an array of abscissae to a sequence of complex arrays, one
+    per channel, and is called once at x +- h and x +- h/2 with
+    h = min(max(5e-5, 1e-8/x), 0.49 x). Phase increments are principal values
+    of arg(v(x+step)/v(x-step)), so no unwrapping is needed as long as
+    h * slope < pi.
     """
-    if k <= 0.0:
-        raise DomainError(f"needs k > 0, got {k}")
-    if h is None:
-        # Deep tunneling makes T the difference of two nearly equal unimodular
-        # amplitudes, so its phase carries noise ~ eps/|T|; the step must grow
-        # accordingly or the central difference drowns in that noise.
-        (_, _, _, t0) = _raw_amplitudes(k, barrier)
-        noise = 2.2e-16 / max(float(np.abs(t0)), 1e-12)
-        h = max(1e-6, 1e-8 / k, noise ** (1.0 / 3.0))
-    h = min(h, 0.49 * k)
-
-    def central(step):
-        (_, _, _, t_hi) = _raw_amplitudes(k + step, barrier)
-        (_, _, _, t_lo) = _raw_amplitudes(k - step, barrier)
-        return float(np.angle(t_hi / t_lo)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    if x <= 0.0:
+        raise DomainError(f"needs a positive abscissa, got {x}")
+    h = min(max(5e-5, 1e-8 / x), 0.49 * x)
+    v = np.asarray(values(x + np.array([h, -h, h / 2.0, -h / 2.0])))
+    d1 = np.angle(v[:, 0] / v[:, 1]) / (2.0 * h)
+    d2 = np.angle(v[:, 2] / v[:, 3]) / h
+    return float(np.sum((4.0 * d2 - d1) / 3.0))
 
 
-def phase_time_fd(k: float, barrier: Barrier, h: float | None = None) -> float:
-    """Phase time from the numerically differentiated transmission phase."""
-    return (barrier.mass / k) * transmission_phase_slope(k, barrier, h)
+def phase_time_fd(k: float, barrier: Barrier) -> float:
+    """Phase time (m/k) (a + (1/2) sum_parity dtheta_parity/dk) by differences.
+
+    Differentiates the unimodular parity amplitudes F+- rather than T, whose
+    phase drowns in rounding noise once |T| ~ e^{-kappa a}.
+    """
+    slope = _phase_slope(lambda ks: amplitude_grid(ks, barrier)[:2], k)
+    return (barrier.mass / k) * (barrier.width + 0.5 * slope)

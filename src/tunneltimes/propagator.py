@@ -51,25 +51,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Simulation state: grid geometry, amplitudes, and elapsed step count."""
+    """Simulation state: the grid it lives on, amplitudes, elapsed steps."""
 
-    x_min: float
-    x_max: float
-    dx: float
-    dt: float
+    spec: GridSpec
     amplitudes: np.ndarray
     step_count: int = 0
 
     @property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(1, len(self.amplitudes) + 1)
+        return self.spec.x
 
     @property
     def time(self) -> float:
-        return self.step_count * self.dt
+        return self.step_count * self.spec.dt
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx)
+        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> Grid1D:
                    0.0).astype(complex)
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * spec.dx))
     psi /= nrm
-    return Grid1D(spec.x_min, spec.x_max, spec.dx, spec.dt, psi, 0)
+    return Grid1D(spec, psi)
 
 
 def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
@@ -114,12 +111,12 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
     the step psi' = A^-1 B psi is the Cayley update 2 A^-1 psi - psi: one
     zgttrs solve against A/2 (an exact halving) and one subtraction.
     """
-    m = barrier.mass
-    if state.dt > m * state.dx * state.dx * (1.0 + 1e-12):
+    m, spec = barrier.mass, state.spec
+    if spec.dt > m * spec.dx * spec.dx * (1.0 + 1e-12):
         raise DomainError("dt exceeds the m*dx^2 sanity bound")
-    v = np.where(np.abs(state.x) <= barrier.width / 2.0, barrier.height, 0.0)
-    t = 1.0 / (2.0 * m * state.dx * state.dx)
-    half_idt = 0.25j * state.dt  # (i dt / 2) / 2: the entries of A/2
+    v = np.where(np.abs(spec.x) <= barrier.width / 2.0, barrier.height, 0.0)
+    t = 1.0 / (2.0 * m * spec.dx * spec.dx)
+    half_idt = 0.25j * spec.dt  # (i dt / 2) / 2: the entries of A/2
     off = np.full(len(v) - 1, -half_idt * t)
     dl, d, du, du2, ipiv, info = zgttrf(off, 0.5 + half_idt * (2.0 * t + v), off)
     if info != 0:

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CountMismatchError, DomainError, NonConvergenceError
-from .scattering import Barrier, amplitude_grid
-from .special import chi_w, cosh_w, sinhc_w
+from .phasetime import _phase_slope
+from .scattering import Barrier, _w_terms, amplitude_grid
+from .special import chi_w
 
 _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-13
@@ -68,26 +69,16 @@ class ResonanceDecomposition:
 
 
 def _w_values(k, barrier: Barrier, parity: str):
-    """(W, dW/dk, W_numerator) of the chosen parity channel, vectorized."""
-    k = np.asarray(k, dtype=complex)
+    """(W, dW/dk, W_numerator) of parity channel '+' or '-', vectorized."""
+    k, w_half, c, s, w = _w_terms(k, barrier)
+    Wn, W = w[parity]
     a = barrier.width
-    u = barrier.l0_sq - k * k           # kappa^2
-    w_half = u * a * a / 4.0            # (kappa a / 2)^2
-    c = cosh_w(w_half)
-    s = sinhc_w(w_half)
     if parity == "+":
-        ks = u * (a / 2.0) * s          # kappa * sinh(kappa a / 2)
-        W = k * c + 1j * ks
-        Wn = k * c - 1j * ks
         dW = c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c)
-    elif parity == "-":
-        W = k * (a / 2.0) * s + 1j * c
-        Wn = k * (a / 2.0) * s - 1j * c
+    else:
         dW = ((a / 2.0) * s
               - (a**3 * k * k / 8.0) * chi_w(w_half)
               - 1j * (a * a * k / 4.0) * s)
-    else:
-        raise DomainError(f"parity must be '+' or '-', got {parity!r}")
     return W, dW, Wn
 
 
@@ -98,6 +89,8 @@ def winding_count(barrier: Barrier, rect, parity: str,
     Walks the boundary, accumulating principal-value increments of
     arg W; any segment advancing the phase by more than ~0.8 rad is bisected.
     """
+    if parity not in ("+", "-"):
+        raise DomainError(f"parity must be '+' or '-', got {parity!r}")
     re_lo, re_hi, im_lo, im_hi = map(float, rect)
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi),
@@ -108,8 +101,8 @@ def winding_count(barrier: Barrier, rect, parity: str,
         evals[0] += 1
         if evals[0] > max_evals:
             raise NonConvergenceError("winding walk budget exhausted")
-        val, _, _ = _w_values(z, barrier, parity)
-        return complex(val)
+        *_, w = _w_terms(z, barrier)
+        return complex(w[parity][1])  # the denominator W
 
     total = 0.0
     for z1, z2 in zip(corners[:-1], corners[1:]):
@@ -305,52 +298,15 @@ def lorentzian_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
     return 2.0 * total
 
 
-def remainder_delay(E0: float, decomposition: ResonanceDecomposition,
-                    h: float = 1e-4) -> float:
-    """Remainder term (1/2) sum_parity d(arg G)/dE at E0, by central FD."""
+def remainder_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
+    """Remainder term (1/2) sum_parity d(arg G)/dE at E0, by Richardson FD."""
     m = decomposition.barrier.mass
-    total = 0.0
-    for parity in ("+", "-"):
-        ks = np.sqrt(2.0 * m * np.array([E0 + h, E0 - h]))
-        G = _remainder(ks, decomposition, parity)
-        total += float(np.angle(G[0] / G[1])) / (2.0 * h)
-    return 0.5 * total
 
+    def remainders(es):
+        ks = np.sqrt(2.0 * m * es)
+        return [_remainder(ks, decomposition, parity) for parity in ("+", "-")]
 
-def _arg_slope(values_fn, k: float, h: float) -> float:
-    """Richardson phase slope of a unimodular amplitude at k."""
-    def central(step):
-        hi = values_fn(k + step)
-        lo = values_fn(k - step)
-        return float(np.angle(hi / lo)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def resonance_delay_logderiv(k0: float, barrier: Barrier,
-                             h: float | None = None) -> float:
-    """Delay (1/2) sum_parity (m/k0) dtheta_parity/dk from unwrapped phases.
-
-    Identically equals tau_ph(k0) - a m / k0.
-    """
-    if k0 <= 0.0:
-        raise DomainError(f"needs k0 > 0, got {k0}")
-    if h is None:
-        h = max(5e-5, 1e-8 / k0)
-    h = min(h, 0.49 * k0)
-    total = 0.0
-    for idx in (0, 1):
-        total += _arg_slope(
-            lambda k: amplitude_grid(np.asarray([k]), barrier)[idx][0], k0, h
-        )
-    return 0.5 * (barrier.mass / k0) * total
-
-
-def phase_time_from_poles(k0: float, barrier: Barrier) -> float:
-    """Convenience: a m/k0 + log-derivative delay; equals tau_ph(k0)."""
-    return barrier.width * barrier.mass / k0 + resonance_delay_logderiv(k0, barrier)
+    return 0.5 * _phase_slope(remainders, E0)
 
 
 __all__ = [
@@ -363,6 +319,4 @@ __all__ = [
     "verify_remainder",
     "lorentzian_delay",
     "remainder_delay",
-    "resonance_delay_logderiv",
-    "phase_time_from_poles",
 ]

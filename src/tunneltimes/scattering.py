@@ -106,13 +106,20 @@ def kappa(k, barrier: Barrier):
     return complex(out) if out.ndim == 0 else out
 
 
-def _raw_amplitudes(k, barrier: Barrier):
-    """Vectorized F+, F-, R, T. k may be real or complex, scalar or array.
+def _w_terms(k, barrier: Barrier):
+    """Half-width pieces and the W+- numerators and denominators, vectorized.
 
-    Uses the half-width forms (numerator and denominator of the plain
-    exponential expression scaled by e^{kappa a/2}, and by kappa for the odd
-    channel): they are even in kappa, so no branch choice enters, and they
+    The half-width forms scale numerator and denominator of the plain
+    exponential expression by e^{kappa a/2}, and by 1/kappa for the odd
+    channel: they are even in kappa, so no branch choice enters, and they
     stay regular at the barrier top where the raw expression degrades to 0/0.
+    With c = cosh(kappa a/2) and s = sinhc(kappa a/2),
+
+        W+ = k c +- i kappa sinh(kappa a/2),   W- = k (a/2) s +- i c,
+
+    the + sign giving the denominators. k may be real or complex, scalar or
+    array. Returns (k, w_half, c, s, w) with w_half = (kappa a/2)^2 and
+    w = {"+": (num+, den+), "-": (num-, den-)}.
     """
     k = np.asarray(k, dtype=complex)
     a = barrier.width
@@ -121,14 +128,23 @@ def _raw_amplitudes(k, barrier: Barrier):
     c = cosh_w(w_half)
     s = sinhc_w(w_half)
     ks = u * (a / 2.0) * s               # kappa * sinh(kappa a / 2)
-    phase = np.exp(-1j * k * a)
+    return k, w_half, c, s, {
+        "+": (k * c - 1j * ks, k * c + 1j * ks),
+        "-": (k * (a / 2.0) * s - 1j * c, k * (a / 2.0) * s + 1j * c),
+    }
 
-    num_p = k * c - 1j * ks
-    den_p = k * c + 1j * ks
-    num_m = k * (a / 2.0) * s - 1j * c
-    den_m = k * (a / 2.0) * s + 1j * c
 
-    for num, den in ((num_p, den_p), (num_m, den_m)):
+def amplitude_grid(k, barrier: Barrier):
+    """Vectorized F+, F-, R, T; k may be real or complex, scalar or array.
+
+    Raises
+    ------
+    PoleProximityError
+        If the relative magnitude of an amplitude denominator falls below
+        POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
+    """
+    k, _, _, _, w = _w_terms(k, barrier)
+    for num, den in w.values():
         bad = np.abs(den) < POLE_RTOL * np.abs(num)
         if np.any(bad):
             k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
@@ -136,6 +152,8 @@ def _raw_amplitudes(k, barrier: Barrier):
                 f"amplitude evaluated at or near a pole, k = {k_bad}"
             )
 
+    phase = np.exp(-1j * k * barrier.width)
+    (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
     F_p = phase * num_p / den_p
     F_m = phase * num_m / den_m
     R = (F_p + F_m) / (2.0 * phase)
@@ -152,10 +170,9 @@ def amplitudes(k, barrier: Barrier) -> ScatteringData:
     Raises
     ------
     PoleProximityError
-        If the relative magnitude of an amplitude denominator falls below
-        1e-14, i.e. k sits on a resonance pole in the complex plane.
+        As :func:`amplitude_grid`.
     """
-    F_p, F_m, R, T = _raw_amplitudes(k, barrier)
+    F_p, F_m, R, T = amplitude_grid(k, barrier)
     kc = complex(k)
     if kc.imag == 0.0:
         th_p = float(np.angle(F_p))
@@ -173,11 +190,6 @@ def amplitudes(k, barrier: Barrier) -> ScatteringData:
         theta_minus=th_m,
         theta=th,
     )
-
-
-def amplitude_grid(k, barrier: Barrier):
-    """Array version of :func:`amplitudes`: returns (F+, F-, R, T) arrays."""
-    return _raw_amplitudes(k, barrier)
 
 
 def phase_sweep(k_grid, barrier: Barrier):
@@ -204,7 +216,7 @@ def phase_sweep(k_grid, barrier: Barrier):
     if k_grid[0] <= 0.0 or np.any(np.diff(k_grid) <= 0.0):
         raise DomainError("phase sweep grid must be strictly increasing and > 0")
 
-    F_p, F_m, _, T = _raw_amplitudes(k_grid, barrier)
+    F_p, F_m, _, T = amplitude_grid(k_grid, barrier)
 
     def unwrap(vals, anchor):
         steps = np.angle(vals[1:] / vals[:-1])

@@ -113,6 +113,43 @@ class TestSweep:
         assert two_mv == pytest.approx(1.0)  # from V=0.5, m=1
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "fig3"],
+                                         ["figure", "fig4"], ["propagate"]])
+    def test_empty_l0_list_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L0": []}))
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg), *command, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--k0-step", "nan"], ["--k0-min", "nan"], ["--k0-max", "nan"],
+        ["--k0-max", "inf"], ["--l0", "nan"], ["--l0", "150", "--l0", "inf"],
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", *bad, "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("k0_step", float("nan")),
+                                            ("L0", [150.0, float("inf")])])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, key,
+                                             value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))  # NaN/Infinity literals
+        out = tmp_path / "x.csv"
+        code = main(["--config", str(cfg), "figure", "fig4",
+                     "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFigure:
     def test_fig3_columns_and_values(self, tmp_path, barrier):
         from tunneltimes.closedform import tunneling_time

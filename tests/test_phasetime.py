@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def test_derivative_oracle_random(barrier, rng):
         closed = phase_time(float(k), barrier)
         fd = phase_time_fd(float(k), barrier)
         assert abs(closed - fd) <= 1e-6 * abs(closed)
+
+
+@pytest.mark.parametrize("two_mv, a", [(1.0, 60.0), (4.0, 15.0)])
+def test_fd_route_on_thick_and_high_barriers(two_mv, a):
+    # |T| ~ e^{-kappa a} is rounding noise here, so the route must
+    # differentiate the unimodular parity phases, not arg T
+    b = Barrier.from_two_mv(two_mv, a)
+    ks = np.geomspace(0.02, 10.0, 300)
+    closed = phase_time_grid(ks, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fd = np.array([phase_time_fd(float(k), b) for k in ks])
+    assert np.max(np.abs(fd - closed) / np.abs(closed)) < 1e-6
 
 
 def test_resonance_region_delayed(barrier):
