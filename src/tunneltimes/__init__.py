@@ -14,19 +14,7 @@ plus resonance-pole extraction and lifetime-weighted delay sums
 (:mod:`tunneltimes.cli`). Natural units, hbar = 1.
 """
 
-from .closedform import (
-    TimeBudget,
-    age_difference,
-    branch_point_terms,
-    budget_grid,
-    delay_A,
-    delay_B,
-    inverse_velocity,
-    t_no_barrier,
-    time_outside,
-    tunneling_time,
-    validity_check,
-)
+from .closedform import TimeBudget, age_difference, budget_grid
 from .errors import (
     CountMismatchError,
     DomainError,
@@ -51,7 +39,6 @@ from .propagator import (
 )
 from .quadrature import (
     QuadratureConfig,
-    oracle_delay_A,
     oracle_delay_B,
     oracle_inverse_velocity,
     oracle_tunneling_time,
@@ -68,15 +55,7 @@ from .resonances import (
     verify_remainder,
     winding_count,
 )
-from .scattering import (
-    Barrier,
-    ScatteringData,
-    amplitude_grid,
-    amplitudes,
-    kappa,
-    phase_sweep,
-    small_a_amplitudes,
-)
-from .wavepacket import Packet, f_amp, g_phase, momentum_density
+from .scattering import Barrier, amplitude_grid, small_a_amplitudes
+from .wavepacket import Packet, f_amp, momentum_density
 
 __version__ = "0.1.0"

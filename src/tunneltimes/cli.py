@@ -100,7 +100,8 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["k0_list"] = args.k0
     if not cfg["L0"]:
         raise ConfigError("L0 needs at least one packet width")
-    checked = [(key, cfg[key]) for key in ("k0_min", "k0_max", "k0_step")]
+    keys = ("a", "mass", "two_mV", "height", "k0_min", "k0_max", "k0_step")
+    checked = [(key, cfg[key]) for key in keys if cfg[key] is not None]
     for key, value in checked + [("L0", x) for x in cfg["L0"]]:
         if not math.isfinite(float(value)):
             raise ConfigError(f"{key} must be finite, got {value}")

@@ -6,9 +6,10 @@ subexpressions so the two decompositions
     t_age = t0 + dtau_A + dtau_B        (free age difference + barrier delays)
     t_age = t_tunnel + t_outside        (inside / outside split)
 
-agree to rounding. One array kernel, budget_grid(), evaluates them over a
-whole (k0, L0) grid; the per-packet helpers are float views of it. The
-building blocks, with x = k0 * L0:
+agree to rounding. One array kernel evaluates them: budget_grid() over a
+whole (k0, L0) grid, age_difference() for one packet as Python scalars.
+Every quantity is a field of the returned TimeBudget. The building blocks,
+with x = k0 * L0:
 
     v_inv     = (m/k0) (1 - sin(x)/x)                     average slowness
     t0        = (L0 + a) v_inv                            no-barrier age difference
@@ -18,13 +19,15 @@ building blocks, with x = k0 * L0:
     dtau_B    = t_outside - L0 v_inv
 
 The sin(x) term of t_tunnel and the -(m/k0) L0 sinc^2(x/2) deficit of
-t_outside are the continuum-edge (k = 0) contributions; they die out for
+t_outside are the continuum-edge (k = 0) contributions, bp_tunnel_term and
+bp_outside_term; both are <= 0 for x in (0, pi). They die out for
 k0 L0 >> 1 and dominate for k0 L0 ~ 1, which is what makes the tunneling
 time depend on the packet size near zero momentum.
 
 The closed forms neglect residue corrections of the scattering amplitudes,
-which is legitimate only when m V a L0 is large; validity_check() gates on
-that product (threshold 50, making the neglected exp(-m V a L0) < 2e-22).
+which is legitimate only when m V a L0 is large; validity_ratio is that
+product and valid gates on it (threshold 50, inclusive, making the neglected
+exp(-m V a L0) < 2e-22).
 Outside the gate a ValidityWarning is issued but values are still returned,
 so parameter sweeps toward a -> 0 stay usable.
 """
@@ -48,7 +51,7 @@ VALIDITY_THRESHOLD = 50.0
 class TimeBudget:
     """Every closed-form time for one (k0, L0) point, natural units.
 
-    The per-packet helpers fill it with Python scalars; budget_grid() fills
+    age_difference() fills it with Python scalars; budget_grid() fills
     every field with an array of the broadcast shape of k0 and L0.
     """
 
@@ -69,12 +72,6 @@ class TimeBudget:
 
 def _sinc(x):
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def validity_check(packet: Packet, barrier: Barrier) -> tuple[float, bool]:
-    """Gate ratio m*V*a*L0 and whether it clears the threshold (inclusive)."""
-    ratio = barrier.mass * barrier.height * barrier.width * packet.L0
-    return ratio, ratio >= VALIDITY_THRESHOLD
 
 
 def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
@@ -152,57 +149,12 @@ def budget_grid(k0, L0, barrier: Barrier) -> TimeBudget:
     return tb
 
 
-def _at(packet: Packet, barrier: Barrier) -> TimeBudget:
-    """The budget of one packet with every field a Python scalar."""
-    tb = _budget(packet.k0, packet.L0, barrier)
-    return TimeBudget(**{name: val.item() for name, val in vars(tb).items()})
-
-
-def inverse_velocity(packet: Packet, barrier: Barrier) -> float:
-    """Packet-averaged inverse group velocity (m/k0)(1 - sin(k0 L0)/(k0 L0))."""
-    return _at(packet, barrier).v_inv
-
-
-def t_no_barrier(packet: Packet, barrier: Barrier) -> float:
-    """Age difference with no barrier: (L0 + a) * v_inv."""
-    return _at(packet, barrier).t0
-
-
-def branch_point_terms(packet: Packet, barrier: Barrier) -> tuple[float, float]:
-    """Continuum-edge terms: deviations of t_tunnel from tau_ph(k0) and of
-    t_outside from (m/k0) L0. Both are <= 0 for k0 L0 in (0, pi)."""
-    tb = _at(packet, barrier)
-    return tb.bp_tunnel_term, tb.bp_outside_term
-
-
-def tunneling_time(packet: Packet, barrier: Barrier) -> float:
-    """tau_ph(k0) plus the continuum-edge term."""
-    return _at(packet, barrier).t_tunnel
-
-
-def time_outside(packet: Packet, barrier: Barrier) -> float:
-    """(m/k0) L0 (1 - sinc^2(k0 L0 / 2)); non-negative for all k0 > 0."""
-    return _at(packet, barrier).t_outside
-
-
-def delay_A(packet: Packet, barrier: Barrier) -> float:
-    """Barrier-induced delay inside the barrier: t_tunnel - a * v_inv.
-
-    Emits ValidityWarning when m*V*a*L0 is below the gate; the value is
-    still returned.
-    """
-    tb = _at(packet, barrier)
-    _warn_if_invalid(tb.validity_ratio)
-    return tb.dtau_A
-
-
-def delay_B(packet: Packet, barrier: Barrier) -> float:
-    """Barrier-induced delay outside the barrier: t_outside - L0 * v_inv."""
-    return _at(packet, barrier).dtau_B
-
-
 def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
-    """Full closed-form budget; asserts both decompositions by construction."""
-    tb = _at(packet, barrier)
+    """Full closed-form budget of one packet, every field a Python scalar.
+
+    Both decompositions hold by construction. Emits ValidityWarning when
+    m*V*a*L0 is below the gate; the values are still returned.
+    """
+    tb = _budget(packet.k0, packet.L0, barrier)
     _warn_if_invalid(tb.validity_ratio)
-    return tb
+    return TimeBudget(**{name: val.item() for name, val in vars(tb).items()})

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, GridTooSmallError, InsufficientFluxError
 from .scattering import Barrier
@@ -60,10 +59,6 @@ class Grid1D:
     @property
     def x(self) -> np.ndarray:
         return self.spec.x
-
-    @property
-    def time(self) -> float:
-        return self.step_count * self.spec.dt
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
@@ -111,6 +106,9 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
     the step psi' = A^-1 B psi is the Cayley update 2 A^-1 psi - psi: one
     zgttrs solve against A/2 (an exact halving) and one subtraction.
     """
+    # Imported here: scipy.linalg is a slow import that only stepping needs.
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     m, spec = barrier.mass, state.spec
     if spec.dt > m * spec.dx * spec.dx * (1.0 + 1e-12):
         raise DomainError("dt exceeds the m*dx^2 sanity bound")

@@ -292,15 +292,6 @@ def oracle_tunneling_time(
     return _check_real(val, "tunneling-time oracle")
 
 
-def oracle_delay_A(
-    packet: Packet, barrier: Barrier, config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """Inside-the-barrier delay: averaged phase time minus a * v_inv."""
-    return oracle_tunneling_time(packet, barrier, config) - barrier.width * (
-        oracle_inverse_velocity(packet, barrier, config)
-    )
-
-
 def oracle_delay_B(
     packet: Packet, barrier: Barrier, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:

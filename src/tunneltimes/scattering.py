@@ -53,6 +53,10 @@ class Barrier:
     mass: float = 1.0
 
     def __post_init__(self):
+        for name in ("height", "width", "mass"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"barrier {name} must be finite, got {value}")
         if self.height < 0.0:
             raise DomainError(f"barrier height must be >= 0, got {self.height}")
         if self.width < 0.0:
@@ -74,36 +78,6 @@ class Barrier:
     def from_two_mv(cls, two_mv: float, width: float, mass: float = 1.0) -> "Barrier":
         """Build a barrier specified by 2 m V (the common figure convention)."""
         return cls(height=two_mv / (2.0 * mass), width=width, mass=mass)
-
-
-@dataclass(frozen=True)
-class ScatteringData:
-    """Amplitudes and phases at a single wavenumber.
-
-    theta_plus / theta_minus / theta are principal-value phases for real k and
-    NaN for complex k; continuously unwrapped phases along a sweep come from
-    :func:`phase_sweep`.
-    """
-
-    k: complex
-    F_plus: complex
-    F_minus: complex
-    R: complex
-    T: complex
-    theta_plus: float
-    theta_minus: float
-    theta: float
-
-
-def kappa(k, barrier: Barrier):
-    """Interior decay constant sqrt(2 m V - k**2) on the continuation branch.
-
-    Real positive below the barrier top, +i*sqrt(k**2 - 2 m V) above it, and
-    the principal square root for complex k. Total on the complex plane.
-    """
-    k = np.asarray(k)
-    out = np.sqrt((barrier.l0_sq - k * k).astype(complex))
-    return complex(out) if out.ndim == 0 else out
 
 
 def _w_terms(k, barrier: Barrier):
@@ -137,6 +111,11 @@ def _w_terms(k, barrier: Barrier):
 def amplitude_grid(k, barrier: Barrier):
     """Vectorized F+, F-, R, T; k may be real or complex, scalar or array.
 
+    This is the one entry to the amplitudes. Phases are best read from the
+    unimodular F+- = e^{i theta+-}: the transmission phase follows as
+    theta = pi/2 + (theta+ + theta-)/2 + k a (mod pi), whereas arg T itself
+    is rounding noise once |T| ~ e^{-kappa a}, and undefined where T = 0.
+
     Raises
     ------
     PoleProximityError
@@ -159,77 +138,6 @@ def amplitude_grid(k, barrier: Barrier):
     R = (F_p + F_m) / (2.0 * phase)
     T = (F_p - F_m) / (2.0 * phase)
     return F_p, F_m, R, T
-
-
-def amplitudes(k, barrier: Barrier) -> ScatteringData:
-    """Evaluate F+-, R, T at one wavenumber.
-
-    For real k the returned phases are principal values of arg F+- and arg T;
-    use :func:`phase_sweep` when a continuously unwrapped phase is needed.
-
-    Raises
-    ------
-    PoleProximityError
-        As :func:`amplitude_grid`.
-    """
-    F_p, F_m, R, T = amplitude_grid(k, barrier)
-    kc = complex(k)
-    if kc.imag == 0.0:
-        th_p = float(np.angle(F_p))
-        th_m = float(np.angle(F_m))
-        th = float(np.angle(T)) if T != 0 else math.nan
-    else:
-        th_p = th_m = th = math.nan
-    return ScatteringData(
-        k=kc,
-        F_plus=complex(F_p),
-        F_minus=complex(F_m),
-        R=complex(R),
-        T=complex(T),
-        theta_plus=th_p,
-        theta_minus=th_m,
-        theta=th,
-    )
-
-
-def phase_sweep(k_grid, barrier: Barrier):
-    """Continuously unwrapped phases theta+, theta-, theta along a k sweep.
-
-    The sweep must be strictly increasing and strictly positive. Phases are
-    anchored at theta+-(0+) = pi, consistent with F+-(0) = -1, and then
-    accumulated through principal-value increments arg(F[i+1]/F[i]). The
-    transmission phase is anchored through
-
-        theta = pi/2 + (theta+ + theta-)/2 + k a,
-
-    which fixes its branch at the first grid point, and accumulated the same
-    way. The grid must be dense enough that no single step advances any phase
-    by more than pi.
-
-    Returns
-    -------
-    (theta_plus, theta_minus, theta) : arrays over k_grid
-    """
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim != 1 or len(k_grid) < 2:
-        raise DomainError("phase sweep needs a 1-D grid with at least 2 points")
-    if k_grid[0] <= 0.0 or np.any(np.diff(k_grid) <= 0.0):
-        raise DomainError("phase sweep grid must be strictly increasing and > 0")
-
-    F_p, F_m, _, T = amplitude_grid(k_grid, barrier)
-
-    def unwrap(vals, anchor):
-        steps = np.angle(vals[1:] / vals[:-1])
-        th = np.empty(len(vals))
-        th[0] = anchor + float(np.angle(vals[0] / np.exp(1j * anchor)))
-        th[1:] = th[0] + np.cumsum(steps)
-        return th
-
-    th_p = unwrap(F_p, math.pi)
-    th_m = unwrap(F_m, math.pi)
-    anchor_T = math.pi / 2.0 + 0.5 * (th_p[0] + th_m[0]) + k_grid[0] * barrier.width
-    th_T = unwrap(T, anchor_T)
-    return th_p, th_m, th_T
 
 
 def small_a_amplitudes(k, barrier: Barrier):

@@ -6,9 +6,11 @@ momentum space the incoming state is f*(k - k0) with
 
     f*(q) = (1/sqrt(L0)) e^{i q a/2} (1 - e^{i q L0}) / (-i q),
 
-and the outgoing state carries the extra translation phase
-g*(q) = e^{-i q (L0 + a)}. The modulus squared |f(q)|^2 = L0 sinc^2(q L0 / 2)
-integrates to 2*pi, i.e. the states are unit normalized.
+and the outgoing state is the same amplitude translated by L0 + a, i.e.
+times the phase e^{-i q (L0 + a)}. For real q the partner amplitude is
+f(q) = f*(-q) = conj(f*(q)), with derivative -f*'(-q). The modulus squared
+|f(q)|^2 = L0 sinc^2(q L0 / 2) integrates to 2*pi, i.e. the states are unit
+normalized.
 """
 
 from __future__ import annotations
@@ -98,20 +100,10 @@ def f_amp(q, packet: Packet, barrier_width: float):
     return complex(val[0]) if np.ndim(q) == 0 else val
 
 
-def f_amp_conj(q, packet: Packet, barrier_width: float):
-    """The analytic partner f(q) = f*(-q); equals conj(f*(q)) for real q."""
-    return f_amp(-np.asarray(q), packet, barrier_width)
-
-
 def f_amp_deriv(q, packet: Packet, barrier_width: float):
     """Derivative d f*/dq of the incoming-state amplitude."""
     val = f_amp_and_deriv(q, packet, barrier_width)[1]
     return complex(val[0]) if np.ndim(q) == 0 else val
-
-
-def f_amp_conj_deriv(q, packet: Packet, barrier_width: float):
-    """Derivative d f/dq = -f*'(-q)."""
-    return -f_amp_deriv(-np.asarray(q), packet, barrier_width)
 
 
 def momentum_density(q, packet: Packet):
@@ -120,10 +112,3 @@ def momentum_density(q, packet: Packet):
     s = np.sinc(q * packet.L0 / (2.0 * math.pi))
     val = packet.L0 * s * s
     return float(val) if val.ndim == 0 else val
-
-
-def g_phase(q, packet: Packet, barrier_width: float):
-    """Translation phase g*(q) = e^{-i q (L0 + a)} of the outgoing state."""
-    q = np.asarray(q)
-    val = np.exp(-1j * q * (packet.L0 + barrier_width))
-    return complex(val) if val.ndim == 0 else val

@@ -15,13 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from tunneltimes.closedform import (
-    age_difference,
-    delay_B,
-    inverse_velocity,
-    tunneling_time,
-    validity_check,
-)
+from tunneltimes.closedform import age_difference, budget_grid
 from tunneltimes.errors import ValidityWarning
 from tunneltimes.phasetime import phase_time, phase_time_fd
 from tunneltimes.propagator import empirical_delay, evolve, init_state
@@ -82,12 +76,13 @@ def _criterion3_gaps(barrier):
     for k0 in (0.3, 0.7, 1.1):
         for L0 in (150.0, 300.0):
             p = Packet(k0, L0)
+            tb = age_difference(p, barrier)
             gaps[("v_inv", k0, L0)] = abs(
-                inverse_velocity(p, barrier) - oracle_inverse_velocity(p, barrier))
+                tb.v_inv - oracle_inverse_velocity(p, barrier))
             gaps[("t_tunnel", k0, L0)] = abs(
-                tunneling_time(p, barrier) - oracle_tunneling_time(p, barrier))
+                tb.t_tunnel - oracle_tunneling_time(p, barrier))
             gaps[("dtau_B", k0, L0)] = abs(
-                delay_B(p, barrier) - oracle_delay_B(p, barrier))
+                tb.dtau_B - oracle_delay_B(p, barrier))
     return gaps
 
 
@@ -104,7 +99,7 @@ def test_criterion_3_closed_vs_oracle(barrier, criterion3_gaps):
     for k0 in (0.3, 0.7, 1.1):
         p150 = Packet(k0, 150.0)
         assert gaps[("v_inv", k0, 150.0)] \
-            <= 1e-3 * abs(inverse_velocity(p150, barrier))
+            <= 1e-3 * abs(age_difference(p150, barrier).v_inv)
         assert gaps[("t_tunnel", k0, 150.0)] <= 0.05 * phase_time(k0, barrier)
         assert gaps[("dtau_B", k0, 150.0)] <= 0.05 / k0**2
         # inverse velocity carries the designed 1/L0 window truncation
@@ -152,8 +147,7 @@ def test_criterion_4_resonance_peak_phenomenology(barrier):
     k0s = np.arange(1, 151) * 0.01
     curves = {}
     for L0 in (150.0, 300.0):
-        curves[L0] = np.array(
-            [tunneling_time(Packet(float(k), L0), barrier) for k in k0s])
+        curves[L0] = budget_grid(k0s, L0, barrier).t_tunnel
     v150 = curves[150.0]
     interior = (v150[1:-1] > v150[:-2]) & (v150[1:-1] > v150[2:])
     peaks = k0s[1:-1][interior]
@@ -185,13 +179,13 @@ def test_criterion_6_limit_ordering(barrier):
     devs = []
     for L0 in (150.0, 300.0, 600.0):
         k0 = 1.0 / L0
-        dev = abs(tunneling_time(Packet(k0, L0), barrier)
+        dev = abs(age_difference(Packet(k0, L0), barrier).t_tunnel
                   - phase_time(k0, barrier))
         devs.append(dev)
     assert 1.8 <= devs[1] / devs[0] <= 2.2
     assert 1.8 <= devs[2] / devs[1] <= 2.2
     tau = phase_time(0.5, barrier)
-    dev_big = abs(tunneling_time(Packet(0.5, 1e4), barrier) - tau)
+    dev_big = abs(age_difference(Packet(0.5, 1e4), barrier).t_tunnel - tau)
     assert dev_big < 1e-3 * tau
     _report("criterion 6 (limit ordering)", t0, 5.0,
             f"growth ratios {devs[1] / devs[0]:.2f}, {devs[2] / devs[1]:.2f}")
@@ -224,20 +218,17 @@ def test_criterion_8_validity_gate_breakdown(barrier):
     # reference parameters: ratio 1125, gaps inside criterion-3 tolerances
     k0 = 0.3
     p = Packet(k0, 150.0)
-    ratio, ok = validity_check(p, barrier)
-    assert ratio == pytest.approx(1125.0) and ok
-    assert abs(tunneling_time(p, barrier) - oracle_tunneling_time(p, barrier)) \
+    tb = age_difference(p, barrier)
+    assert tb.validity_ratio == pytest.approx(1125.0) and tb.valid
+    assert abs(tb.t_tunnel - oracle_tunneling_time(p, barrier)) \
         <= 0.05 * phase_time(k0, barrier)
     # a shrunk to 0.01: m V a L0 = 0.75 < 1, the closed form must break
     thin = Barrier(0.5, 0.01, 1.0)
-    ratio_thin, ok_thin = validity_check(p, thin)
-    assert ratio_thin < 1.0 and not ok_thin
     with pytest.warns(ValidityWarning):
-        closed_thin = tunneling_time(p, thin)
-        tb = age_difference(p, thin)
-    assert not tb.valid
+        tb_thin = age_difference(p, thin)
+    assert tb_thin.validity_ratio < 1.0 and not tb_thin.valid
     oracle_thin = oracle_tunneling_time(p, thin)
-    gap_thin = abs(closed_thin - oracle_thin)
+    gap_thin = abs(tb_thin.t_tunnel - oracle_thin)
     tol_thin = 0.05 * phase_time(k0, thin)
     assert gap_thin > tol_thin
     _report("criterion 8 (validity-gate breakdown)", t0, 30.0,

@@ -136,6 +136,17 @@ class TestConfigValidation:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [
+        ["--a", "nan"], ["--two-m-v", "nan"], ["--mass", "nan"],
+        ["--height", "inf"],
+    ])
+    def test_non_finite_barrier_flag_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", *bad, "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("k0_step", float("nan")),
                                             ("L0", [150.0, float("inf")])])
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, key,
@@ -152,7 +163,7 @@ class TestConfigValidation:
 
 class TestFigure:
     def test_fig3_columns_and_values(self, tmp_path, barrier):
-        from tunneltimes.closedform import tunneling_time
+        from tunneltimes.closedform import age_difference
         from tunneltimes.wavepacket import Packet
 
         out = tmp_path / "fig3.csv"
@@ -162,7 +173,8 @@ class TestFigure:
         assert header == ["k0", "t_tunnel_L150", "t_tunnel_L300"]
         for row in rows:
             assert row[1] == pytest.approx(
-                tunneling_time(Packet(row[0], 150.0), barrier), rel=1e-12)
+                age_difference(Packet(row[0], 150.0), barrier).t_tunnel,
+                rel=1e-12)
 
     def test_fig4_hartman_dip(self, tmp_path):
         out = tmp_path / "fig4.csv"
@@ -248,13 +260,15 @@ class TestPropagate:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_import_skips_scipy_sparse():
-    # No module needs scipy.sparse, a large import; keep CLI start-up free of it.
+@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg"])
+def test_cli_import_skips_large_module(module):
+    # No module needs scipy.sparse, and only the Crank-Nicolson stepper needs
+    # scipy.linalg; both are large imports, so keep CLI start-up free of them.
     src = str(Path(tunneltimes.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, tunneltimes.cli; print('scipy.sparse' in sys.modules)"
+    code = f"import sys, tunneltimes.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"

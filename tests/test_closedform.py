@@ -5,22 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tunneltimes.closedform import (
-    age_difference,
-    branch_point_terms,
-    budget_grid,
-    delay_A,
-    delay_B,
-    inverse_velocity,
-    t_no_barrier,
-    time_outside,
-    tunneling_time,
-    validity_check,
-)
+from tunneltimes.closedform import age_difference, budget_grid
 from tunneltimes.errors import DomainError, ValidityWarning
 from tunneltimes.phasetime import phase_time
 from tunneltimes.quadrature import (
-    oracle_delay_A,
     oracle_delay_B,
     oracle_inverse_velocity,
     oracle_tunneling_time,
@@ -29,42 +17,47 @@ from tunneltimes.scattering import Barrier
 from tunneltimes.wavepacket import Packet
 
 
+def _oracle_delay_A(packet, barrier):
+    """Inside-the-barrier delay by quadrature: averaged phase time - a v_inv."""
+    return (oracle_tunneling_time(packet, barrier)
+            - barrier.width * oracle_inverse_velocity(packet, barrier))
+
+
 class TestInverseVelocity:
     def test_sine_node_is_exact(self, barrier):
         k0 = math.pi / 150.0
-        assert inverse_velocity(Packet(k0, 150.0), barrier) == pytest.approx(
-            1.0 / k0, rel=1e-15
+        assert age_difference(Packet(k0, 150.0), barrier).v_inv \
+            == pytest.approx(1.0 / k0, rel=1e-15
         )
 
     def test_matches_oracle(self, barrier):
         p = Packet(1.0, 150.0)
-        closed = inverse_velocity(p, barrier)
+        closed = age_difference(p, barrier).v_inv
         assert closed == pytest.approx(
             oracle_inverse_velocity(p, barrier), rel=1e-3
         )
 
     def test_large_k0L0_limit(self, barrier):
         p = Packet(1.0, 1e7)
-        assert inverse_velocity(p, barrier) == pytest.approx(1.0, rel=1e-6)
+        assert age_difference(p, barrier).v_inv == pytest.approx(1.0, rel=1e-6)
 
     def test_rejects_bad_k0(self, barrier):
         with pytest.raises(DomainError):
-            inverse_velocity(Packet(1.0, 10.0), Barrier(0.5, 15.0, -1.0))
+            age_difference(Packet(1.0, 10.0), Barrier(0.5, 15.0, -1.0))
 
 
 class TestNoBarrierTime:
     def test_sine_node(self, barrier):
         k0 = 2.0 * math.pi / 150.0
-        assert t_no_barrier(Packet(k0, 150.0), barrier) == pytest.approx(
-            165.0 / k0, rel=1e-12
+        assert age_difference(Packet(k0, 150.0), barrier).t0 \
+            == pytest.approx(165.0 / k0, rel=1e-12
         )
 
     def test_zero_width(self):
         b = Barrier(0.5, 0.0, 1.0)
         p = Packet(0.7, 150.0)
-        assert t_no_barrier(p, b) == pytest.approx(
-            150.0 * inverse_velocity(p, b), rel=1e-15
-        )
+        tb = age_difference(p, b)
+        assert tb.t0 == pytest.approx(150.0 * tb.v_inv, rel=1e-15)
 
 
 class TestDelayA:
@@ -73,28 +66,29 @@ class TestDelayA:
         b = Barrier(1e-12, 15.0, 1.0)
         k0 = 10.0 * math.pi / 150.0
         with pytest.warns(ValidityWarning):
-            val = delay_A(Packet(k0, 150.0), b)
+            val = age_difference(Packet(k0, 150.0), b).dtau_A
         assert abs(val) < 1e-3
 
     def test_matches_oracle_midrange(self, barrier):
         p = Packet(0.7, 150.0)
-        closed = delay_A(p, barrier)
-        oracle = oracle_delay_A(p, barrier)
+        closed = age_difference(p, barrier).dtau_A
+        oracle = _oracle_delay_A(p, barrier)
         assert abs(closed - oracle) <= 0.05 * barrier.width / 0.7
 
     def test_matches_oracle_resonance_region(self, barrier):
         # the packet width is comparable to the sharpest resonance here, so
         # the neglected-residue gap is larger; phase-time scale sets the bound
         p = Packet(1.1, 150.0)
-        closed = delay_A(p, barrier)
-        oracle = oracle_delay_A(p, barrier)
+        closed = age_difference(p, barrier).dtau_A
+        oracle = _oracle_delay_A(p, barrier)
         assert abs(closed - oracle) <= 0.05 * phase_time(1.1, barrier)
 
     def test_branch_node_reduction(self, barrier):
         k0 = 2.0 * math.pi / 150.0 * 10
         p = Packet(k0, 150.0)
-        expect = phase_time(k0, barrier) - 15.0 * inverse_velocity(p, barrier)
-        assert delay_A(p, barrier) == pytest.approx(expect, rel=1e-12)
+        tb = age_difference(p, barrier)
+        expect = phase_time(k0, barrier) - 15.0 * tb.v_inv
+        assert tb.dtau_A == pytest.approx(expect, rel=1e-12)
 
 
 class TestDelayB:
@@ -103,46 +97,47 @@ class TestDelayB:
         for k0, L0 in [(1.0, 150.0), (0.3, 200.0), (2.2, 97.0)]:
             x = k0 * L0
             expect = (math.sin(x) - 2.0 * (1.0 - math.cos(x)) / x) / k0**2
-            assert delay_B(Packet(k0, L0), barrier) == pytest.approx(
-                expect, rel=1e-10, abs=1e-12
+            assert age_difference(Packet(k0, L0), barrier).dtau_B \
+                == pytest.approx(expect, rel=1e-10, abs=1e-12
             )
 
     def test_small_at_large_x(self, barrier):
-        val = delay_B(Packet(1.0, 150.0), barrier)
+        val = age_difference(Packet(1.0, 150.0), barrier).dtau_B
         assert abs(val) <= 1.0 + 4.0 / 150.0
 
     def test_matches_oracle(self, barrier):
         p = Packet(0.1, 150.0)
-        assert abs(delay_B(p, barrier) - oracle_delay_B(p, barrier)) \
-            <= 0.05 / 0.1**2
+        assert abs(age_difference(p, barrier).dtau_B
+                   - oracle_delay_B(p, barrier)) <= 0.05 / 0.1**2
 
     def test_two_pi_node(self, barrier):
         k0 = 2.0 * math.pi / 150.0
-        assert delay_B(Packet(k0, 150.0), barrier) == pytest.approx(
-            0.0, abs=1e-9
+        assert age_difference(Packet(k0, 150.0), barrier).dtau_B \
+            == pytest.approx(0.0, abs=1e-9
         )
 
 
 class TestTunnelingTime:
     def test_intrinsic_in_resonance_region(self, barrier):
-        t150 = tunneling_time(Packet(1.1, 150.0), barrier)
-        t300 = tunneling_time(Packet(1.1, 300.0), barrier)
+        t150 = age_difference(Packet(1.1, 150.0), barrier).t_tunnel
+        t300 = age_difference(Packet(1.1, 300.0), barrier).t_tunnel
         assert abs(t150 - t300) / abs(t150) < 0.02
 
     def test_packet_dependent_near_zero(self, barrier):
-        t150 = tunneling_time(Packet(0.01, 150.0), barrier)
-        t300 = tunneling_time(Packet(0.01, 300.0), barrier)
+        t150 = age_difference(Packet(0.01, 150.0), barrier).t_tunnel
+        t300 = age_difference(Packet(0.01, 300.0), barrier).t_tunnel
         assert abs(t150 - t300) / abs(t300) > 0.10
 
     def test_branch_node_equals_phase_time(self, barrier):
         k0 = 2.0 * math.pi / 150.0 * 20
-        assert tunneling_time(Packet(k0, 150.0), barrier) == pytest.approx(
-            phase_time(k0, barrier), rel=1e-12
+        assert age_difference(Packet(k0, 150.0), barrier).t_tunnel \
+            == pytest.approx(phase_time(k0, barrier), rel=1e-12
         )
 
     def test_matches_oracle(self, barrier):
         p = Packet(0.7, 150.0)
-        gap = abs(tunneling_time(p, barrier) - oracle_tunneling_time(p, barrier))
+        gap = abs(age_difference(p, barrier).t_tunnel
+                  - oracle_tunneling_time(p, barrier))
         assert gap <= 0.05 * phase_time(0.7, barrier)
 
 
@@ -151,17 +146,21 @@ class TestTimeOutside:
         for _ in range(1000):
             k0 = float(rng.uniform(0.001, 3.0))
             L0 = float(rng.uniform(1.0, 500.0))
-            assert time_outside(Packet(k0, L0), barrier) >= 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWarning)  # L0 < 20/3
+                tb = age_difference(Packet(k0, L0), barrier)
+            assert tb.t_outside >= 0.0
 
     def test_ballistic_limit(self, barrier):
         k0, L0 = 1.0, 150.0
-        val = time_outside(Packet(k0, L0), barrier)
+        val = age_difference(Packet(k0, L0), barrier).t_outside
         assert abs(val - L0 / k0) / (L0 / k0) <= 4.0 / (k0 * L0) ** 2
 
     def test_vanishes_at_small_x(self, barrier):
         k0, L0 = 1e-5, 1.0
-        assert time_outside(Packet(k0, L0), barrier) \
-            <= (1.0 / k0) * L0 * (k0 * L0) ** 2
+        with pytest.warns(ValidityWarning):  # m V a L0 = 7.5
+            tb = age_difference(Packet(k0, L0), barrier)
+        assert tb.t_outside <= (1.0 / k0) * L0 * (k0 * L0) ** 2
 
 
 class TestAgeDifference:
@@ -186,8 +185,6 @@ class TestAgeDifference:
         assert tb.t_age == pytest.approx(tb.t0, rel=1e-14)
 
     def test_decomposition_identities_random(self, barrier, rng):
-        import warnings
-
         for _ in range(1000):
             k0 = float(rng.uniform(0.005, 3.0))
             L0 = float(rng.uniform(5.0, 600.0))
@@ -260,8 +257,8 @@ class TestBudgetGrid:
 
 class TestBranchPointTerms:
     def test_vanish_at_large_L0(self, barrier):
-        bp3, _ = branch_point_terms(Packet(0.5, 1e3), barrier)
-        bp4, _ = branch_point_terms(Packet(0.5, 1e4), barrier)
+        bp3 = age_difference(Packet(0.5, 1e3), barrier).bp_tunnel_term
+        bp4 = age_difference(Packet(0.5, 1e4), barrier).bp_tunnel_term
         assert abs(bp4) < 1e-3
         assert abs(bp4) < abs(bp3)
 
@@ -270,8 +267,8 @@ class TestBranchPointTerms:
         # outside term like L0^2 (its prefactor is L0/k0): both diverge
         vals = []
         for L0 in (150.0, 300.0, 600.0):
-            bp_t, bp_o = branch_point_terms(Packet(1.0 / L0, L0), barrier)
-            vals.append((bp_t, bp_o))
+            tb = age_difference(Packet(1.0 / L0, L0), barrier)
+            vals.append((tb.bp_tunnel_term, tb.bp_outside_term))
         for lo, hi in ((0, 1), (1, 2)):
             assert 1.8 <= vals[hi][0] / vals[lo][0] <= 2.2
             assert 3.6 <= vals[hi][1] / vals[lo][1] <= 4.4
@@ -280,36 +277,37 @@ class TestBranchPointTerms:
         for _ in range(200):
             x = float(rng.uniform(0.01, math.pi - 0.01))
             L0 = float(rng.uniform(20.0, 400.0))
-            bp_t, bp_o = branch_point_terms(Packet(x / L0, L0), barrier)
-            assert bp_t <= 0.0
-            assert bp_o <= 0.0
+            tb = age_difference(Packet(x / L0, L0), barrier)
+            assert tb.bp_tunnel_term <= 0.0
+            assert tb.bp_outside_term <= 0.0
 
     def test_deviations_definition(self, barrier):
         p = Packet(0.3, 150.0)
-        bp_t, bp_o = branch_point_terms(p, barrier)
-        assert tunneling_time(p, barrier) - phase_time(0.3, barrier) \
-            == pytest.approx(bp_t, rel=1e-12)
-        assert time_outside(p, barrier) - 150.0 / 0.3 \
-            == pytest.approx(bp_o, rel=1e-12)
+        tb = age_difference(p, barrier)
+        assert tb.t_tunnel - phase_time(0.3, barrier) \
+            == pytest.approx(tb.bp_tunnel_term, rel=1e-12)
+        assert tb.t_outside - 150.0 / 0.3 \
+            == pytest.approx(tb.bp_outside_term, rel=1e-12)
 
 
 class TestValidity:
     def test_reference_parameters(self, barrier):
-        ratio, ok = validity_check(Packet(1.0, 150.0), barrier)
-        assert ratio == pytest.approx(1125.0)
-        assert ok
+        tb = age_difference(Packet(1.0, 150.0), barrier)
+        assert tb.validity_ratio == pytest.approx(1125.0)
+        assert tb.valid
 
     def test_thin_barrier(self):
         b = Barrier(0.5, 1e-4, 1.0)
-        ratio, ok = validity_check(Packet(1.0, 150.0), b)
-        assert ratio == pytest.approx(0.0075)
-        assert not ok
+        with pytest.warns(ValidityWarning):
+            tb = age_difference(Packet(1.0, 150.0), b)
+        assert tb.validity_ratio == pytest.approx(0.0075)
+        assert not tb.valid
 
     def test_boundary_inclusive(self):
         b = Barrier(0.5, 10.0, 1.0)
-        ratio, ok = validity_check(Packet(1.0, 10.0), b)
-        assert ratio == 50.0
-        assert ok
+        tb = age_difference(Packet(1.0, 10.0), b)
+        assert tb.validity_ratio == 50.0
+        assert tb.valid
 
 
 class TestOracleConvergence:
@@ -318,10 +316,9 @@ class TestOracleConvergence:
         gaps_v, gaps_t = [], []
         for L0 in (150.0, 300.0):
             p = Packet(k0, L0)
-            gaps_v.append(abs(inverse_velocity(p, barrier)
-                              - oracle_inverse_velocity(p, barrier)))
-            gaps_t.append(abs(tunneling_time(p, barrier)
-                              - oracle_tunneling_time(p, barrier)))
+            tb = age_difference(p, barrier)
+            gaps_v.append(abs(tb.v_inv - oracle_inverse_velocity(p, barrier)))
+            gaps_t.append(abs(tb.t_tunnel - oracle_tunneling_time(p, barrier)))
         assert 0.3 <= gaps_v[1] / gaps_v[0] <= 0.7
         assert 0.3 <= gaps_t[1] / gaps_t[0] <= 0.7
 
@@ -331,11 +328,12 @@ class TestOracleConvergence:
         # numerical and far below the physics tolerance
         for L0 in (150.0, 300.0):
             p = Packet(0.7, L0)
-            gap = abs(delay_B(p, barrier) - oracle_delay_B(p, barrier))
+            gap = abs(age_difference(p, barrier).dtau_B
+                      - oracle_delay_B(p, barrier))
             assert gap < 1e-6
 
     def test_branch_point_disappearance_window(self, barrier):
         for k0 in np.linspace(1.0, 2.0, 21):
             p = Packet(float(k0), 300.0)
             tau = phase_time(float(k0), barrier)
-            assert abs(tunneling_time(p, barrier) - tau) < 1e-3 * tau
+            assert abs(age_difference(p, barrier).t_tunnel - tau) < 1e-3 * tau

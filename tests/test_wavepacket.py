@@ -5,15 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from tunneltimes.errors import DomainError
-from tunneltimes.wavepacket import (
-    Packet,
-    f_amp,
-    f_amp_conj,
-    f_amp_conj_deriv,
-    f_amp_deriv,
-    g_phase,
-    momentum_density,
-)
+from tunneltimes.wavepacket import Packet, f_amp, f_amp_deriv, momentum_density
 
 A = 15.0
 
@@ -52,7 +44,7 @@ def test_normalization_by_quadrature():
 def test_conjugation_symmetry():
     p = Packet(1.0, 150.0)
     q = np.linspace(-0.5, 0.5, 301)
-    lhs = f_amp_conj(q, p, A)
+    lhs = f_amp(-q, p, A)  # the partner amplitude f(q) = f*(-q)
     rhs = np.conj(f_amp(q, p, A))
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
@@ -86,19 +78,12 @@ def test_taylor_branch_continuity():
     assert abs((outside - inside) - slope * (q_hi - q_lo)) < 1e-12 * abs(inside)
 
 
-def test_g_phase_values():
-    p = Packet(1.0, 150.0)
-    assert g_phase(0.0, p, A) == pytest.approx(1.0)
-    q = math.pi / (p.L0 + A)
-    assert g_phase(q, p, A) == pytest.approx(-1.0, abs=1e-14)
-    assert abs(g_phase(0.37, p, A)) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_derivatives_match_finite_differences():
     p = Packet(1.0, 150.0)
     h = 1e-7
     for q0 in (0.0, 0.013, -0.2, 0.31):
         fd = (f_amp(q0 + h, p, A) - f_amp(q0 - h, p, A)) / (2.0 * h)
         assert f_amp_deriv(q0, p, A) == pytest.approx(fd, rel=2e-6)
-        fd_c = (f_amp_conj(q0 + h, p, A) - f_amp_conj(q0 - h, p, A)) / (2.0 * h)
-        assert f_amp_conj_deriv(q0, p, A) == pytest.approx(fd_c, rel=2e-6)
+        # the partner f(q) = f*(-q) has derivative -f*'(-q)
+        fd_c = (f_amp(-(q0 + h), p, A) - f_amp(-(q0 - h), p, A)) / (2.0 * h)
+        assert -f_amp_deriv(-q0, p, A) == pytest.approx(fd_c, rel=2e-6)
