@@ -77,7 +77,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number(key: str, value) -> float:
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be finite and numeric, got {value!r}")
+
+
 def load_config(args: argparse.Namespace) -> dict:
+    """Defaults < config file < flags, every number checked and a float."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -98,26 +108,32 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["L0"] = args.L0
     if getattr(args, "k0", None):
         cfg["k0_list"] = args.k0
+    for key in ("a", "mass", "two_mV", "height", "k0_min", "k0_max",
+                "k0_step", "detector_x"):
+        if key != "height" or cfg[key] is not None:
+            cfg[key] = _number(key, cfg[key])
+    for key in ("L0", "k0_list"):
+        if not isinstance(cfg[key], list):
+            raise ConfigError(f"{key} must be a list, got {cfg[key]!r}")
+        cfg[key] = [_number(key, x) for x in cfg[key]]
     if not cfg["L0"]:
         raise ConfigError("L0 needs at least one packet width")
-    keys = ("a", "mass", "two_mV", "height", "k0_min", "k0_max", "k0_step")
-    checked = [(key, cfg[key]) for key in keys if cfg[key] is not None]
-    for key, value in checked + [("L0", x) for x in cfg["L0"]]:
-        if not math.isfinite(float(value)):
-            raise ConfigError(f"{key} must be finite, got {value}")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a file path, got {cfg['out']!r}")
+    for key in ("re_min", "re_max", "im_min", "im_max"):
+        if hasattr(args, key):
+            _number(key, getattr(args, key))
     return cfg
 
 
 def _barrier(cfg: dict) -> Barrier:
-    if cfg.get("height") is not None:
-        return Barrier(height=float(cfg["height"]), width=float(cfg["a"]),
-                       mass=float(cfg["mass"]))
-    return Barrier.from_two_mv(float(cfg["two_mV"]), float(cfg["a"]),
-                               float(cfg["mass"]))
+    if cfg["height"] is not None:
+        return Barrier(height=cfg["height"], width=cfg["a"], mass=cfg["mass"])
+    return Barrier.from_two_mv(cfg["two_mV"], cfg["a"], cfg["mass"])
 
 
 def _k0_grid(cfg: dict) -> np.ndarray:
-    lo, hi, step = float(cfg["k0_min"]), float(cfg["k0_max"]), float(cfg["k0_step"])
+    lo, hi, step = cfg["k0_min"], cfg["k0_max"], cfg["k0_step"]
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"bad k0 range: [{lo}, {hi}] step {step}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -161,7 +177,7 @@ def _closed_grid(cfg: dict, barrier: Barrier, l0s):
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    k0s, tb = _closed_grid(cfg, barrier, sorted(float(x) for x in cfg["L0"]))
+    k0s, tb = _closed_grid(cfg, barrier, sorted(cfg["L0"]))
     tau = phase_time_grid(k0s, barrier)[:, None]
     _write_csv(cfg["out"], _param_comment(cfg, barrier), SWEEP_COLUMNS, [
         tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tau,
@@ -173,7 +189,7 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    l0s = sorted(float(x) for x in cfg["L0"])
+    l0s = sorted(cfg["L0"])
     if args.which == "fig3":
         k0s, tb = _closed_grid(cfg, barrier, l0s)
         header = ["k0"] + [f"t_tunnel_L{int(l0)}" for l0 in l0s]
@@ -188,8 +204,7 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    k0s = [float(k) for k in cfg["k0_list"]]
-    l0s = sorted(float(x) for x in cfg["L0"])
+    l0s = sorted(cfg["L0"])
     qcfg = QuadratureConfig()
     report: dict = {"units": "natural, hbar=1", "barrier": {
         "a": barrier.width, "m": barrier.mass, "two_mV": barrier.l0_sq},
@@ -198,7 +213,7 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         gaps: dict = {}
-        for k0 in k0s:
+        for k0 in cfg["k0_list"]:
             tau = phase_time(k0, barrier)
             for l0 in l0s:
                 packet = Packet(k0, l0)
@@ -284,15 +299,14 @@ def cmd_resonances(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
-    k0s = [float(k) for k in cfg["k0_list"]]
-    l0 = sorted(float(x) for x in cfg["L0"])[0]
-    detector = float(cfg["detector_x"])
+    l0 = min(cfg["L0"])
+    detector = cfg["detector_x"]
     rows = []
     sidecar = {"detector_x": detector, "L0": l0, "grids": {}}
     starved = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        for k0 in k0s:
+        for k0 in cfg["k0_list"]:
             packet = Packet(k0, l0)
             spec, n_steps = suggest_grid(packet, barrier, detector)
             tb = age_difference(packet, barrier)
@@ -310,7 +324,7 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
                 "norm_drift": rec.norm_drift,
                 "wall_probability": rec.wall_probability,
             }
-    if starved == len(k0s):
+    if starved == len(cfg["k0_list"]):
         raise InsufficientFluxError("no requested k0 produced measurable flux")
     _write_csv(cfg["out"], _param_comment(cfg, barrier),
                ["k0", "empirical_delay", "closed_form_delay",

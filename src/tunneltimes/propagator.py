@@ -19,7 +19,7 @@ window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +50,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Simulation state: the grid it lives on, amplitudes, elapsed steps."""
+    """Simulation state: the grid it lives on and the amplitudes."""
 
     spec: GridSpec
     amplitudes: np.ndarray
-    step_count: int = 0
 
     @property
     def x(self) -> np.ndarray:
@@ -131,7 +130,7 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
 def evolve(state: Grid1D, barrier: Barrier, n_steps: int) -> Grid1D:
     """Advance the state n_steps; unitary up to rounding, deterministic."""
     psi, _ = _stepper(state, barrier, n_steps)
-    return replace(state, amplitudes=psi, step_count=state.step_count + n_steps)
+    return Grid1D(state.spec, psi)
 
 
 def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
@@ -159,7 +158,7 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
             f"transmitted fraction {frac:.3e} below 1e-6 at detector {detector_x}"
         )
     mean_t = float(np.sum(j * (spec.dt * np.arange(1, n_steps + 1)))) / flux_sum
-    final = replace(state, amplitudes=psi, step_count=n_steps)
+    final = Grid1D(spec, psi)
     wall = float(np.sum(np.abs(np.r_[psi[:10], psi[-10:]]) ** 2) * spec.dx)
     return ArrivalRecord(detector_x, mean_t, frac, abs(final.norm() - 1.0),
                          wall), final

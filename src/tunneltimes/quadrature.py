@@ -1,18 +1,11 @@
 """Brute-force quadrature oracles for the defining momentum integrals.
 
 These evaluate the packet averages behind the closed forms directly on the
-real axis, with the 1/k singularity handled as a principal value, so they are
-independent of any residue bookkeeping. Two PV prescriptions are available:
-
-* analytic subtraction (default, epsilon = 0): the residue c of each declared
-  simple pole is estimated from a symmetric limit, c/(k - p) is subtracted
-  over the whole window, the smooth remainder is integrated adaptively, and
-  the exact PV integral of the subtracted term, c * ln((b-p)/(p-a)), is added
-  back;
-* explicit regulator (epsilon > 0): each 1/(k - p) is smeared into
-  (k - p)/((k - p)^2 + eps^2), i.e. the average of the +-i*eps shifted poles,
-  and the result converges to the PV linearly in eps, so two epsilons and a
-  Richardson step reproduce the subtraction answer.
+real axis, independently of the closed forms. The 1/k singularity is a
+principal value taken by analytic subtraction: the residue c of each declared
+simple pole is estimated from a symmetric limit, c/(k - p) is subtracted over
+the whole window, the smooth remainder is integrated adaptively, and the
+exact PV of the subtracted term, c * ln((b-p)/(p-a)), is added back.
 
 Panels never exceed half an oscillation period pi/L0 of the exp(ikL0)
 factors; each panel is scored by a 10- vs 20-point Gauss-Legendre pair and
@@ -57,15 +50,13 @@ _BLOCK_PANELS = 2048
 class QuadratureConfig:
     """Controls for the PV quadrature.
 
-    epsilon = 0 selects analytic subtraction; epsilon > 0 the smeared
-    regulator. window_half_width is an absolute wavenumber half-width; it is
-    never allowed below 20 oscillation wavelengths (40*pi/L0). max_panels
-    caps the panels evaluated, first level included; each refinement level
-    is charged in full before it is evaluated, so the budget fails at the
-    first level that would overrun it.
+    window_half_width is an absolute wavenumber half-width; it is never
+    allowed below 20 oscillation wavelengths (40*pi/L0). max_panels caps the
+    panels evaluated, first level included; each refinement level is charged
+    in full before it is evaluated, so the budget fails at the first level
+    that would overrun it.
     """
 
-    epsilon: float = 0.0
     window_half_width: float = 8.0
     rel_tol: float = 1e-5
     max_panels: int = 100_000
@@ -73,8 +64,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise DomainError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.epsilon < 0.0:
-            raise DomainError("epsilon must be >= 0")
         if self.max_panels < 16:
             raise DomainError("max_panels too small to do anything")
 
@@ -101,12 +90,6 @@ def _score(f_eval, a, b):
         i20.append(np.dot(vals[:, 10:], _W20) * h)
         fmax.append(np.max(gross[:, 10:], axis=1))
     return np.concatenate(i10), np.concatenate(i20), np.concatenate(fmax)
-
-
-def _estimate_residue(f, pole: float, d: float) -> complex:
-    """Residue of a simple pole from the symmetric limit d*(f(p+d)-f(p-d))/2."""
-    vals = f(np.array([pole + d, pole - d]))
-    return complex(0.5 * d * (vals[0] - vals[1]))
 
 
 def pv_integrate(
@@ -155,37 +138,26 @@ def pv_integrate(
             if oscillation_length > 0.0:
                 gaps.append(math.pi / oscillation_length)
             d = 1e-3 * min(gaps)
-            res.append(_estimate_residue(integrand, p, d))
+            # the symmetric limit d * (f(p + d) - f(p - d)) / 2
+            f_pm = integrand(np.array([p + d, p - d]))
+            res.append(complex(0.5 * d * (f_pm[0] - f_pm[1])))
     else:
         res = [complex(residues[list(poles).index(p)]) for p in inside]
 
-    eps = config.epsilon
-    if eps > 0.0:
+    def f_eval(k):
+        # gross tracks the magnitudes before the pole subtraction cancels
+        # them; it sets the rounding floor of the remainder.
+        vals = np.asarray(integrand(k), dtype=complex)
+        gross = np.abs(vals)
+        for p, c in zip(inside, res):
+            term = c / (k - p)
+            vals = vals - term
+            gross = gross + np.abs(term)
+        return vals, gross
 
-        def f_eval(k):
-            vals = np.asarray(integrand(k), dtype=complex)
-            for p in inside:
-                dk = k - p
-                vals = vals * dk * dk / (dk * dk + eps * eps)
-            return vals, np.abs(vals)
-
-        analytic = 0.0 + 0.0j
-    else:
-
-        def f_eval(k):
-            # gross tracks the magnitudes before the pole subtraction
-            # cancels them; it sets the rounding floor of the remainder.
-            vals = np.asarray(integrand(k), dtype=complex)
-            gross = np.abs(vals)
-            for p, c in zip(inside, res):
-                term = c / (k - p)
-                vals = vals - term
-                gross = gross + np.abs(term)
-            return vals, gross
-
-        analytic = sum(
-            c * math.log((hi - p) / (p - lo)) for p, c in zip(inside, res)
-        )
+    analytic = sum(
+        c * math.log((hi - p) / (p - lo)) for p, c in zip(inside, res)
+    )
 
     # Breakpoints at the poles keep every Gauss node strictly off them.
     edges = sorted({lo, hi, *inside})
@@ -253,8 +225,12 @@ def _check_real(value: complex, what: str, abs_floor: float = 1e-10) -> float:
     return value.real
 
 
-def _window(packet: Packet, config: QuadratureConfig) -> float:
-    return max(config.window_half_width, 40.0 * math.pi / packet.L0)
+def _packet_pv(g, packet: Packet, config: QuadratureConfig, what: str) -> float:
+    """Real PV integral of g over the window around k0, pole at k = 0."""
+    k_hi = packet.k0 + max(config.window_half_width, 40.0 * math.pi / packet.L0)
+    val = pv_integrate(g, [0.0], config, domain=(-k_hi, k_hi),
+                       oscillation_length=packet.L0)
+    return _check_real(val, what)
 
 
 def oracle_inverse_velocity(
@@ -262,16 +238,11 @@ def oracle_inverse_velocity(
 ) -> float:
     """Direct PV evaluation of the packet-averaged inverse group velocity."""
     k0, m = packet.k0, barrier.mass
-    w = _window(packet, config)
 
     def g(k):
         return (m / (2.0 * math.pi)) * momentum_density(k - k0, packet) / k + 0j
 
-    val = pv_integrate(
-        g, [0.0], config, domain=(-(k0 + w), k0 + w),
-        oscillation_length=packet.L0,
-    )
-    return _check_real(val, "inverse-velocity oracle")
+    return _packet_pv(g, packet, config, "inverse-velocity oracle")
 
 
 def oracle_tunneling_time(
@@ -279,17 +250,12 @@ def oracle_tunneling_time(
 ) -> float:
     """Direct PV evaluation of the packet-averaged phase time."""
     k0 = packet.k0
-    w = _window(packet, config)
 
     def g(k):
         return (momentum_density(k - k0, packet) / (2.0 * math.pi)
                 * phase_time_grid(k, barrier)) + 0j
 
-    val = pv_integrate(
-        g, [0.0], config, domain=(-(k0 + w), k0 + w),
-        oscillation_length=packet.L0,
-    )
-    return _check_real(val, "tunneling-time oracle")
+    return _packet_pv(g, packet, config, "tunneling-time oracle")
 
 
 def oracle_delay_B(
@@ -301,7 +267,6 @@ def oracle_delay_B(
         # F+ + F- vanishes identically with no barrier; numerically the
         # integrand would be pure amplified rounding noise.
         return 0.0
-    w = _window(packet, config)
 
     def g(k):
         F_p, F_m, _, _ = amplitude_grid(k, barrier)
@@ -310,8 +275,4 @@ def oracle_delay_B(
         bracket = f_m * df_p - f_p * df_m
         return (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * bracket
 
-    val = pv_integrate(
-        g, [0.0], config, domain=(-(k0 + w), k0 + w),
-        oscillation_length=packet.L0,
-    )
-    return _check_real(val, "outside-delay oracle")
+    return _packet_pv(g, packet, config, "outside-delay oracle")

@@ -35,6 +35,14 @@ from .special import chi_w
 _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-13
 _DEDUP_TOL = 1e-8
+_SEED_STEP = 0.05        # spacing of the Newton seed grid
+_MAX_POLES = 64
+_WIND_SEGMENTS = 48      # initial samples per side of the winding contour
+_WIND_MAX_EVALS = 200_000
+_N_ENERGIES = 100        # real-axis samples of the remainder |G|
+_N_PHASE = 600           # uniform-k samples of the remainder phase check
+_MODULUS_TOL = 1e-6
+_MAX_PHASE_STEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,6 @@ class ResonanceDecomposition:
     barrier: Barrier
     poles: tuple[ResonancePole, ...]
     energies: np.ndarray = field(repr=False)
-    remainder_phase: dict = field(repr=False)    # parity -> unwrapped arg G
     remainder_modulus: dict = field(repr=False)  # parity -> |G|
 
     def poles_of(self, parity: str) -> list[ResonancePole]:
@@ -82,8 +89,7 @@ def _w_values(k, barrier: Barrier, parity: str):
     return W, dW, Wn
 
 
-def winding_count(barrier: Barrier, rect, parity: str,
-                  n_init: int = 48, max_evals: int = 200_000) -> int:
+def winding_count(barrier: Barrier, rect, parity: str) -> int:
     """Zeros of the parity denominator inside a rectangle via arg tracking.
 
     Walks the boundary, accumulating principal-value increments of
@@ -99,14 +105,14 @@ def winding_count(barrier: Barrier, rect, parity: str,
 
     def w_of(z):
         evals[0] += 1
-        if evals[0] > max_evals:
+        if evals[0] > _WIND_MAX_EVALS:
             raise NonConvergenceError("winding walk budget exhausted")
         *_, w = _w_terms(z, barrier)
         return complex(w[parity][1])  # the denominator W
 
     total = 0.0
     for z1, z2 in zip(corners[:-1], corners[1:]):
-        pts = np.linspace(z1, z2, n_init + 1)
+        pts = np.linspace(z1, z2, _WIND_SEGMENTS + 1)
         vals = [w_of(z) for z in pts]
         stack = list(zip(pts[:-1], pts[1:], vals[:-1], vals[1:]))
         stack.reverse()
@@ -128,12 +134,11 @@ def winding_count(barrier: Barrier, rect, parity: str,
     return int(round(n))
 
 
-def find_poles(barrier: Barrier, search_rect, max_poles: int = 64,
-               seed_step: float = 0.05) -> list[ResonancePole]:
+def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    Newton seeds sit on a uniform grid of the given step; each harvested
-    root is deduplicated, kept only if its relative residual is below 1e-10,
+    Newton seeds sit on a uniform grid of step _SEED_STEP; each harvested
+    root is deduplicated, kept only if its relative residual is below 1e-13,
     and the per-parity count is cross-checked against the argument-principle
     winding count.
 
@@ -151,8 +156,8 @@ def find_poles(barrier: Barrier, search_rect, max_poles: int = 64,
     if re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi:
         raise DomainError("search rectangle must exclude k = 0")
     m = barrier.mass
-    res = np.arange(re_lo, re_hi + seed_step / 2, seed_step)
-    ims = np.arange(im_lo, im_hi + seed_step / 2, seed_step)
+    res = np.arange(re_lo, re_hi + _SEED_STEP / 2, _SEED_STEP)
+    ims = np.arange(im_lo, im_hi + _SEED_STEP / 2, _SEED_STEP)
     seeds = (res[:, None] + 1j * ims[None, :]).ravel()
 
     out: list[ResonancePole] = []
@@ -197,9 +202,9 @@ def find_poles(barrier: Barrier, search_rect, max_poles: int = 64,
                 lifetime=(1.0 / gamma if gamma > 0.0 else math.inf),
                 residual=float(abs(Wz) / abs(Wnz)),
             ))
-    if len(out) > max_poles:
+    if len(out) > _MAX_POLES:
         raise NonConvergenceError(
-            f"found {len(out)} poles, more than max_poles = {max_poles}"
+            f"found {len(out)} poles, more than the {_MAX_POLES} allowed"
         )
     return out
 
@@ -221,37 +226,20 @@ def _remainder(k, decomposition: ResonanceDecomposition, parity: str):
 
 
 def build_decomposition(
-    barrier: Barrier,
-    search_rect=(0.5, 3.0, -1.0, 0.0),
-    energies=None,
-    n_samples: int = 100,
-    max_poles: int = 64,
+    barrier: Barrier, search_rect=(0.5, 3.0, -1.0, 0.0)
 ) -> ResonanceDecomposition:
     """Harvest poles and sample the remainder factor on the real energy axis."""
-    poles = tuple(find_poles(barrier, search_rect, max_poles=max_poles))
-    if energies is None:
-        e_hi = 0.5 * search_rect[1] ** 2 / barrier.mass * 0.9
-        energies = np.linspace(0.02, e_hi, n_samples)
-    energies = np.asarray(energies, dtype=float)
+    poles = tuple(find_poles(barrier, search_rect))
+    e_hi = 0.5 * search_rect[1] ** 2 / barrier.mass * 0.9
+    energies = np.linspace(0.02, e_hi, _N_ENERGIES)
     ks = np.sqrt(2.0 * barrier.mass * energies)
-    dec = ResonanceDecomposition(
-        barrier=barrier, poles=poles, energies=energies,
-        remainder_phase={}, remainder_modulus={},
-    )
+    dec = ResonanceDecomposition(barrier, poles, energies, remainder_modulus={})
     for parity in ("+", "-"):
-        G = _remainder(ks, dec, parity)
-        phase = np.angle(G[0]) + np.concatenate(
-            ([0.0], np.cumsum(np.angle(G[1:] / G[:-1])))
-        )
-        dec.remainder_phase[parity] = phase
-        dec.remainder_modulus[parity] = np.abs(G)
+        dec.remainder_modulus[parity] = np.abs(_remainder(ks, dec, parity))
     return dec
 
 
-def verify_remainder(decomposition: ResonanceDecomposition,
-                     modulus_tol: float = 1e-6,
-                     max_phase_step: float = 1.0,
-                     n_phase: int = 600) -> dict:
+def verify_remainder(decomposition: ResonanceDecomposition) -> dict:
     """Check |G| = 1 on the stored samples and that arg G is pole-free.
 
     A conjugate-paired pole factor is unimodular on the real axis, so the
@@ -263,22 +251,20 @@ def verify_remainder(decomposition: ResonanceDecomposition,
 
     Returns a report dict with 'ok', 'max_modulus_error', 'max_phase_step'.
     """
-    worst_mod = 0.0
-    for parity in ("+", "-"):
-        worst_mod = max(worst_mod, float(np.max(np.abs(
-            decomposition.remainder_modulus[parity] - 1.0))))
+    worst_mod = max(float(np.max(np.abs(g - 1.0)))
+                    for g in decomposition.remainder_modulus.values())
     e = decomposition.energies
     m = decomposition.barrier.mass
     k_lo = math.sqrt(2.0 * m * float(e.min()))
     k_hi = math.sqrt(2.0 * m * float(e.max()))
-    ks = np.linspace(max(k_lo, 0.05), k_hi, n_phase)
+    ks = np.linspace(max(k_lo, 0.05), k_hi, _N_PHASE)
     worst_step = 0.0
     for parity in ("+", "-"):
         G = _remainder(ks, decomposition, parity)
         steps = np.abs(np.angle(G[1:] / G[:-1]))
         worst_step = max(worst_step, float(np.max(steps)))
     return {
-        "ok": worst_mod <= modulus_tol and worst_step <= max_phase_step,
+        "ok": worst_mod <= _MODULUS_TOL and worst_step <= _MAX_PHASE_STEP,
         "max_modulus_error": worst_mod,
         "max_phase_step": worst_step,
     }

@@ -160,6 +160,43 @@ class TestConfigValidation:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-compare", "--k0", "nan"],
+        ["propagate", "--k0", "nan"],
+        ["propagate", "--detector-x", "nan"],
+        ["resonances", "--re-max", "nan"],
+    ])
+    def test_non_finite_command_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        code = main([*argv, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_cfg", [
+        {"a": "wide"}, {"L0": 150}, {"k0_list": [0.5, "x"]},
+    ])
+    @pytest.mark.parametrize("command", [["sweep"], ["oracle-compare"]])
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, file_cfg,
+                                            command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "x.out"
+        code = main(["--config", str(cfg), *command, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_string_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an integer would reach open() as a file descriptor
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        code = main(["--config", str(cfg), "sweep"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestFigure:
     def test_fig3_columns_and_values(self, tmp_path, barrier):

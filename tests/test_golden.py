@@ -1,10 +1,10 @@
 """Byte-exact regeneration of the pinned reference curves.
 
-The golden CSVs were generated by the CLI with default parameters (plus one
-small free-barrier sweep) after the acceptance suite verified the physics
-they encode (resonance peaks, packet dependence near zero momentum, the
-age-difference dips). Any change to the closed forms, formatting, or grid
-conventions shows up here first.
+The golden CSVs and the pole report were generated by the CLI with default
+parameters (plus one small free-barrier sweep) after the acceptance suite
+verified the physics they encode (resonance peaks, packet dependence near
+zero momentum, the age-difference dips). Any change to the closed forms, the
+pole search, formatting, or grid conventions shows up here first.
 """
 
 from pathlib import Path
@@ -39,3 +39,10 @@ def test_free_barrier_sweep_regenerates_identically(tmp_path):
                  "1.5", "--k0-step", "0.05", "--l0", "40", "--l0", "150",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "sweep_free.csv").read_bytes()
+
+
+def test_resonances_report_regenerates_identically(tmp_path):
+    # pins the pole search's seed grid, winding walk and remainder sampling
+    out = tmp_path / "resonances.json"
+    assert main(["resonances", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "resonances.json").read_bytes()

@@ -22,7 +22,7 @@ from tunneltimes.quadrature import (
     pv_integrate,
 )
 from tunneltimes.scattering import Barrier
-from tunneltimes.wavepacket import Packet
+from tunneltimes.wavepacket import Packet, momentum_density
 
 
 class TestPvIntegrate:
@@ -107,8 +107,6 @@ class TestPvIntegrate:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=0.5)
-        with pytest.raises(DomainError):
-            QuadratureConfig(epsilon=-1.0)
 
     def test_realness_guard(self):
         with pytest.raises(ImaginaryResidueError):
@@ -116,19 +114,23 @@ class TestPvIntegrate:
         assert _check_real(2.0 + 1e-12j, "test quantity") == 2.0
 
 
-class TestEpsilonRegulator:
-    def test_richardson_matches_subtraction(self, barrier):
-        p = Packet(0.7, 150.0)
-        base = QuadratureConfig()
-        sub = oracle_inverse_velocity(p, barrier, base)
-        vals = []
-        for eps_scale in (1e-4, 1e-5):
-            cfg = QuadratureConfig(epsilon=eps_scale * p.k0,
-                                   max_panels=400_000)
-            vals.append(oracle_inverse_velocity(p, barrier, cfg))
-        e1, e2 = 1e-4 * p.k0, 1e-5 * p.k0
-        extrap = (e1 * vals[1] - e2 * vals[0]) / (e1 - e2)
-        assert abs(extrap - sub) <= 3.0 * base.rel_tol * abs(sub)
+class TestCauchyReference:
+    @pytest.mark.parametrize("k0, l0", [(0.7, 150.0), (0.3, 150.0),
+                                        (1.1, 300.0)])
+    def test_inverse_velocity_matches_qawc(self, barrier, k0, l0):
+        # QUADPACK's Cauchy-weight rule (QAWC) takes the PV of f(k)/k by its
+        # own modified Clenshaw-Curtis scheme, with no residue subtraction.
+        p = Packet(k0, l0)
+        cfg = QuadratureConfig()
+        k_hi = k0 + max(cfg.window_half_width, 40.0 * math.pi / l0)
+
+        def density(k):
+            return barrier.mass / (2.0 * math.pi) * momentum_density(k - k0, p)
+
+        ref, _ = quad(density, -k_hi, k_hi, weight="cauchy", wvar=0.0,
+                      limit=4 * int(k_hi * l0), epsabs=0.0, epsrel=1e-12)
+        assert oracle_inverse_velocity(p, barrier, cfg) == pytest.approx(
+            ref, rel=1e-9)
 
 
 class TestOracles:

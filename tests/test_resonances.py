@@ -131,7 +131,6 @@ class TestReconstruction:
             barrier=barrier,
             poles=decomposition.poles + (spurious,),
             energies=decomposition.energies,
-            remainder_phase=decomposition.remainder_phase,
             remainder_modulus=decomposition.remainder_modulus,
         )
         assert not verify_remainder(bad)["ok"]
@@ -142,7 +141,6 @@ class TestReconstruction:
             barrier=barrier,
             poles=tuple(p for p in decomposition.poles if p is not sharpest),
             energies=decomposition.energies,
-            remainder_phase=decomposition.remainder_phase,
             remainder_modulus=decomposition.remainder_modulus,
         )
         assert not verify_remainder(bad)["ok"]
@@ -159,7 +157,7 @@ class TestLorentzianDelay:
         )
         dec = ResonanceDecomposition(
             barrier=barrier, poles=(pole,), energies=np.array([ep.real]),
-            remainder_phase={}, remainder_modulus={},
+            remainder_modulus={},
         )
         assert lorentzian_delay(ep.real, dec) == pytest.approx(
             2.0 / pole.Gamma, rel=1e-12
