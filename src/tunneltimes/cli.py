@@ -118,11 +118,17 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg[key] = [_number(key, x) for x in cfg[key]]
     if not cfg["L0"]:
         raise ConfigError("L0 needs at least one packet width")
+    if not cfg["k0_list"]:
+        raise ConfigError("k0_list needs at least one k0")
     if not isinstance(cfg["out"], str):
         raise ConfigError(f"out must be a file path, got {cfg['out']!r}")
-    for key in ("re_min", "re_max", "im_min", "im_max"):
-        if hasattr(args, key):
+    if hasattr(args, "re_min"):
+        re_lo, re_hi, im_lo, im_hi = (
             _number(key, getattr(args, key))
+            for key in ("re_min", "re_max", "im_min", "im_max"))
+        if not (re_lo < re_hi and im_lo < im_hi):
+            raise ConfigError(
+                "search rectangle needs re_min < re_max and im_min < im_max")
     return cfg
 
 

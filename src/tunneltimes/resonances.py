@@ -33,7 +33,8 @@ from .scattering import Barrier, _w_terms, amplitude_grid
 from .special import chi_w
 
 _NEWTON_STEPS = 60
-_POLISH_RTOL = 1e-13
+_ORBIT_MEMORY = 8        # longest Newton orbit period that freezes a seed
+_POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
 _SEED_STEP = 0.05        # spacing of the Newton seed grid
 _MAX_POLES = 64
@@ -89,102 +90,189 @@ def _w_values(k, barrier: Barrier, parity: str):
     return W, dW, Wn
 
 
-def winding_count(barrier: Barrier, rect, parity: str) -> int:
-    """Zeros of the parity denominator inside a rectangle via arg tracking.
+def _check_rect(rect) -> tuple[float, float, float, float]:
+    re_lo, re_hi, im_lo, im_hi = map(float, rect)
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise DomainError(
+            f"search rectangle needs re_lo < re_hi and im_lo < im_hi, got {rect!r}")
+    return re_lo, re_hi, im_lo, im_hi
 
-    Walks the boundary, accumulating principal-value increments of
-    arg W; any segment advancing the phase by more than ~0.8 rad is bisected.
+
+def winding_count(barrier: Barrier, rect, parity: str) -> int:
+    """Zeros of the parity denominator inside a rectangle by the argument
+    principle (Ying & Katz 1988; Kravanja & Van Barel 2000).
+
+    The boundary starts as _WIND_SEGMENTS segments per side, all four sides
+    in one vector evaluation of W. Level by level, every segment [z1, z2]
+    with |W(z2)/W(z1) - 1| > 0.5 is bisected, that level's midpoints again
+    in one evaluation; a segment that passes adds the principal
+    arg(W(z2)/W(z1)), at most pi/6. Bounding the change of log W, modulus
+    as well as phase, matters where a side passes close to zeros: at a = 60
+    arg W turns by 5.6-6.5 rad inside single initial segments along the
+    real axis while their principal steps read 0.2-0.7 rad, so a cut on
+    |Delta arg| alone (0.8 rad) counted 25 for 27; |W| changes enough there
+    (|ratio - 1| = 0.61-840) for the ratio rule to split them. At most
+    _WIND_MAX_EVALS points are evaluated.
+
+    Raises
+    ------
+    DomainError
+        For a parity other than '+'/'-' or an empty or reversed rectangle.
+    NonConvergenceError
+        If the contour hits a zero of W, the budget runs out, or the winding
+        number is not within 0.25 of an integer.
     """
     if parity not in ("+", "-"):
         raise DomainError(f"parity must be '+' or '-', got {parity!r}")
-    re_lo, re_hi, im_lo, im_hi = map(float, rect)
+    re_lo, re_hi, im_lo, im_hi = _check_rect(rect)
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi),
-               complex(re_lo, im_lo)]
-    evals = [0]
+               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    z = np.concatenate(
+        [np.linspace(z1, z2, _WIND_SEGMENTS, endpoint=False)
+         for z1, z2 in zip(corners, corners[1:] + corners[:1])]
+        + [corners[:1]])
+    evals = 0
 
     def w_of(z):
-        evals[0] += 1
-        if evals[0] > _WIND_MAX_EVALS:
+        nonlocal evals
+        evals += z.size
+        if evals > _WIND_MAX_EVALS:
             raise NonConvergenceError("winding walk budget exhausted")
-        *_, w = _w_terms(z, barrier)
-        return complex(w[parity][1])  # the denominator W
+        w = _w_terms(z, barrier)[4][parity][1]  # the denominator W
+        if not np.all(w):
+            raise NonConvergenceError("winding contour hit a zero")
+        return w
 
+    w = w_of(z)
+    z1, z2, w1, w2 = z[:-1], z[1:], w[:-1], w[1:]
     total = 0.0
-    for z1, z2 in zip(corners[:-1], corners[1:]):
-        pts = np.linspace(z1, z2, _WIND_SEGMENTS + 1)
-        vals = [w_of(z) for z in pts]
-        stack = list(zip(pts[:-1], pts[1:], vals[:-1], vals[1:]))
-        stack.reverse()
-        while stack:
-            a1, a2, v1, v2 = stack.pop()
-            if v1 == 0 or v2 == 0:
-                raise NonConvergenceError("winding contour hit a zero")
-            dphi = np.angle(v2 / v1)
-            if abs(dphi) <= 0.8 or abs(a2 - a1) < 1e-13:
-                total += dphi
-                continue
-            mid = 0.5 * (a1 + a2)
-            vm = w_of(mid)
-            stack.append((mid, a2, vm, v2))
-            stack.append((a1, mid, v1, vm))
+    while True:
+        ratio = w2 / w1
+        split = ~(np.abs(ratio - 1.0) <= 0.5) & (np.abs(z2 - z1) >= 1e-13)
+        total += float(np.sum(np.angle(ratio[~split])))
+        if not split.any():
+            break
+        z1, z2, w1, w2 = z1[split], z2[split], w1[split], w2[split]
+        zm = 0.5 * (z1 + z2)
+        wm = w_of(zm)
+        z1, z2 = np.concatenate([z1, zm]), np.concatenate([zm, z2])
+        w1, w2 = np.concatenate([w1, wm]), np.concatenate([wm, w2])
     n = total / (2.0 * math.pi)
-    if abs(n - round(n)) > 0.25:
+    if not abs(n - np.rint(n)) <= 0.25:
         raise NonConvergenceError(f"winding number did not settle: {n}")
-    return int(round(n))
+    return int(np.rint(n))
+
+
+def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
+    """Each seed after _NEWTON_STEPS damped Newton steps on W_parity.
+
+    The map k -> k - step(k) is applied only to seeds whose orbit still
+    moves. A seed freezes once its orbit is periodic, k_t == k_{t-p} for a
+    period p <= _ORBIT_MEMORY (a fixed point is p = 1). Its later orbit then
+    cycles through the stored k_{t-p} .. k_{t-1}, so it gets the value that
+    the last step would give it, picked by the steps left modulo p; the
+    result equals the plain fixed-count loop element for element. Converged
+    orbits do cycle in the last bits: at the defaults 345 of the 1,071 (-)
+    seeds cycle with periods 3 to 8, so freezing only fixed points and
+    2-cycles would leave them running all the steps.
+    """
+    mem = _ORBIT_MEMORY
+    hist = np.full((mem, seeds.size), np.nan, dtype=complex)  # k_t in row t % mem
+    hist[0] = seeds
+    k = np.empty_like(seeds)
+    live = np.arange(seeds.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(1, _NEWTON_STEPS + 1):
+            past = hist[:, live]          # k_{t-mem} .. k_{t-1}, NaN before k_0
+            kl = past[(t - 1) % mem]
+            W, dW, _ = _w_values(kl, barrier, parity)
+            step = W / dW
+            step = np.where(np.abs(step) > 0.2,
+                            0.2 * step / np.abs(step), step)
+            kn = kl - step
+            hist[t % mem, live] = kn
+            match = past == kn
+            frozen = match.any(axis=0)
+            if frozen.any():
+                # row r holds k_{t-p}, p = (t - 1 - r) % mem + 1; the orbit
+                # repeats with period p, so k at the end is k_{t-p+left%p}
+                p = (t - 1 - match[:, frozen].argmax(axis=0)) % mem + 1
+                idx = live[frozen]
+                k[idx] = hist[(t - p + (_NEWTON_STEPS - t) % p) % mem, idx]
+                live = live[~frozen]
+                if not live.size:
+                    break
+    k[live] = hist[_NEWTON_STEPS % mem, live]
+    return k
+
+
+def _harvest(barrier: Barrier, rect, parity: str):
+    """Distinct roots of W_parity inside rect, sorted by real part.
+
+    Newton starts from a uniform seed grid of step _SEED_STEP. A root is kept
+    when its relative residual |W|/|W_numerator| is below _POLISH_RTOL and it
+    lies inside rect; a candidate within _DEDUP_TOL of an earlier kept one is
+    a duplicate, so the first seed to reach a root represents it.
+    """
+    re_lo, re_hi, im_lo, im_hi = rect
+    res = np.arange(re_lo, re_hi + _SEED_STEP / 2, _SEED_STEP)
+    ims = np.arange(im_lo, im_hi + _SEED_STEP / 2, _SEED_STEP)
+    k = _newton((res[:, None] + 1j * ims[None, :]).ravel(), barrier, parity)
+    W, _, Wn = _w_values(k, barrier, parity)
+    resid = np.abs(W) / np.maximum(np.abs(Wn), 1e-300)
+    margin = 1e-9
+    keep = (
+        (resid < _POLISH_RTOL)
+        & (k.real > re_lo + margin) & (k.real < re_hi - margin)
+        & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
+        & np.isfinite(k)
+    )
+    cand = k[keep]
+    roots = []
+    while cand.size:
+        roots.append(complex(cand[0]))
+        cand = cand[np.abs(cand - cand[0]) > _DEDUP_TOL]
+    return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    Newton seeds sit on a uniform grid of step _SEED_STEP; each harvested
-    root is deduplicated, kept only if its relative residual is below 1e-13,
-    and the per-parity count is cross-checked against the argument-principle
-    winding count.
+    Per parity, the Newton harvest (see _newton and _harvest: seed grid of
+    step _SEED_STEP, orbits frozen once periodic, duplicates within
+    _DEDUP_TOL dropped) is cross-checked against the argument-principle
+    winding count. A root is kept only if its relative residual is below
+    _POLISH_RTOL = 1e-12. Roots of thick barriers can stall just above
+    1e-13 (k ~ 1.001365 - 9.1e-5 i at a = 60 settles at 4.1e-13, the
+    rounding floor of W there, and a 1e-13 cut dropped it), so the cut sits
+    at 1e-12, two orders under the 1e-10 that the pole reports promise. The
+    orbit is no substitute for the residual: converged orbits keep cycling
+    in the last bits, and accepting only orbits settled with period <= 2
+    keeps 23 of 27 (+) and 18 of 27 (-) roots at a = 60.
 
     Parameters
     ----------
     search_rect : (re_lo, re_hi, im_lo, im_hi)
-        Must not contain k = 0, where the energy map branches.
+        Must have re_lo < re_hi and im_lo < im_hi, and must not contain
+        k = 0, where the energy map branches.
 
     Raises
     ------
+    DomainError
+        For a reversed or empty rectangle, or one containing k = 0.
     CountMismatchError
         If the Newton harvest disagrees with the winding count.
     """
-    re_lo, re_hi, im_lo, im_hi = map(float, search_rect)
+    rect = _check_rect(search_rect)
+    re_lo, re_hi, im_lo, im_hi = rect
     if re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi:
         raise DomainError("search rectangle must exclude k = 0")
     m = barrier.mass
-    res = np.arange(re_lo, re_hi + _SEED_STEP / 2, _SEED_STEP)
-    ims = np.arange(im_lo, im_hi + _SEED_STEP / 2, _SEED_STEP)
-    seeds = (res[:, None] + 1j * ims[None, :]).ravel()
 
     out: list[ResonancePole] = []
     for parity in ("+", "-"):
-        k = seeds.copy()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                W, dW, _ = _w_values(k, barrier, parity)
-                step = W / dW
-                step = np.where(np.abs(step) > 0.2,
-                                0.2 * step / np.abs(step), step)
-                k = k - step
-        W, _, Wn = _w_values(k, barrier, parity)
-        resid = np.abs(W) / np.maximum(np.abs(Wn), 1e-300)
-        margin = 1e-9
-        keep = (
-            (resid < _POLISH_RTOL)
-            & (k.real > re_lo + margin) & (k.real < re_hi - margin)
-            & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
-            & np.isfinite(k)
-        )
-        roots: list[complex] = []
-        for z in k[keep]:
-            if all(abs(z - r) > _DEDUP_TOL for r in roots):
-                roots.append(complex(z))
-        roots.sort(key=lambda z: (z.real, z.imag))
-        n_wind = winding_count(barrier, search_rect, parity)
+        roots = _harvest(barrier, rect, parity)
+        n_wind = winding_count(barrier, rect, parity)
         if n_wind != len(roots):
             raise CountMismatchError(
                 f"parity {parity}: winding count {n_wind} != harvest {len(roots)}"

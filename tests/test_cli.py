@@ -125,6 +125,25 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["oracle-compare"], ["propagate"]])
+    def test_empty_k0_list_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k0_list": []}))
+        out = tmp_path / "x.out"
+        code = main(["--config", str(cfg), *command, "--out", str(out)])
+        assert code == 2
+        assert "k0_list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [["--re-min", "2", "--re-max", "1"],
+                                     ["--im-min", "0", "--im-max", "-1"]])
+    def test_reversed_search_rect_exits_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.json"
+        code = main(["resonances", *bad, "--out", str(out)])
+        assert code == 2
+        assert "search rectangle" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [
         ["--k0-step", "nan"], ["--k0-min", "nan"], ["--k0-max", "nan"],
         ["--k0-max", "inf"], ["--l0", "nan"], ["--l0", "150", "--l0", "inf"],
@@ -258,6 +277,14 @@ class TestResonancesCmd:
         assert report["remainder_check"]["ok"]
         assert report["remainder_check"]["max_modulus_error"] < 1e-6
         assert report["lorentzian_delay_curve"]
+
+    def test_thick_barrier_answers(self, tmp_path):
+        out = tmp_path / "res.json"
+        assert main(["resonances", "--a", "60", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["poles"]) == 54
+        assert report["remainder_check"]["ok"]
+        assert all(p["residual"] < 1e-10 for p in report["poles"])
 
 
 class TestPropagate:

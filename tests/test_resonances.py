@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tunneltimes import resonances
 from tunneltimes.errors import DomainError
 from tunneltimes.phasetime import phase_time, phase_time_fd
 from tunneltimes.resonances import (
@@ -80,6 +81,31 @@ class TestFindPoles:
         with pytest.raises(DomainError):
             find_poles(barrier, (-0.5, 0.5, -0.5, 0.5))
 
+    @pytest.mark.parametrize("rect", [(2.0, 1.0, -1.0, 0.0),
+                                      (0.5, 3.0, 0.0, -1.0),
+                                      (0.5, 0.5, -1.0, 0.0)])
+    def test_rejects_reversed_or_empty_rect(self, barrier, rect):
+        # a reversed contour winds negatively, so without the check the
+        # count reads -4 / -7 and surfaces as a count mismatch
+        with pytest.raises(DomainError, match="re_lo < re_hi"):
+            find_poles(barrier, rect)
+        with pytest.raises(DomainError, match="re_lo < re_hi"):
+            winding_count(barrier, rect, "+")
+
+    def test_thick_barrier_winding(self):
+        # the real axis passes within 1e-4 of narrow a = 60 resonances,
+        # where a phase-only bisection rule aliased and counted 25
+        b = Barrier.from_two_mv(1.0, 60.0)
+        rect = (0.5, 3.0, -1.0, 0.0)
+        assert winding_count(b, rect, "+") == 27
+        assert winding_count(b, rect, "-") == 27
+
+    def test_thick_barrier_harvest(self):
+        b = Barrier.from_two_mv(1.0, 60.0)
+        poles = find_poles(b, (0.5, 3.0, -1.0, 0.0))
+        assert len(poles) == 54
+        assert max(p.residual for p in poles) < 1e-10
+
     def test_poles_sit_under_phase_time_peaks(self, barrier, decomposition):
         # each narrow pole must align with a local maximum of tau_ph(k) on
         # the real axis to within its own half width
@@ -100,6 +126,92 @@ class TestFindPoles:
         lowest = min(poles, key=lambda p: p.E_R)
         estimate = 12.5 + (math.pi / 4.0) ** 2 / 2.0
         assert abs(lowest.E_R - estimate) / estimate < 0.15
+
+
+def _seed_grid(rect):
+    re_lo, re_hi, im_lo, im_hi = rect
+    step = resonances._SEED_STEP
+    res = np.arange(re_lo, re_hi + step / 2, step)
+    ims = np.arange(im_lo, im_hi + step / 2, step)
+    return (res[:, None] + 1j * ims[None, :]).ravel()
+
+
+def _plain_newton(seeds, barrier, parity):
+    """Reference: every seed takes all _NEWTON_STEPS damped Newton steps."""
+    k = seeds.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(resonances._NEWTON_STEPS):
+            W, dW, _ = resonances._w_values(k, barrier, parity)
+            step = W / dW
+            step = np.where(np.abs(step) > 0.2,
+                            0.2 * step / np.abs(step), step)
+            k = k - step
+    return k
+
+
+def _plain_harvest(barrier, rect, parity):
+    """Reference harvest: plain Newton, pairwise dedup, scalar residuals."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    k = _plain_newton(_seed_grid(rect), barrier, parity)
+    W, _, Wn = resonances._w_values(k, barrier, parity)
+    resid = np.abs(W) / np.maximum(np.abs(Wn), 1e-300)
+    keep = ((resid < resonances._POLISH_RTOL)
+            & (k.real > re_lo + 1e-9) & (k.real < re_hi - 1e-9)
+            & (k.imag > im_lo + 1e-9) & (k.imag < im_hi - 1e-9)
+            & np.isfinite(k))
+    roots = []
+    for z in k[keep]:
+        if all(abs(z - r) > resonances._DEDUP_TOL for r in roots):
+            roots.append(complex(z))
+    roots.sort(key=lambda z: (z.real, z.imag))
+    residuals = []
+    for z in roots:
+        Wz, _, Wnz = resonances._w_values(z, barrier, parity)
+        residuals.append(float(abs(Wz) / abs(Wnz)))
+    return roots, residuals
+
+
+# the three resonance rectangles and barriers of the benchmark
+BENCH_CASES = [(15.0, (0.5, 3.0, -1.0, 0.0)), (15.0, (0.5, 6.0, -1.0, 0.0)),
+               (60.0, (0.5, 3.0, -1.0, 0.0))]
+
+
+class TestMaskedNewton:
+    @pytest.mark.parametrize("a, rect", BENCH_CASES)
+    def test_orbit_freeze_is_bitwise(self, a, rect):
+        b = Barrier.from_two_mv(1.0, a)
+        seeds = _seed_grid(rect)
+        for parity in ("+", "-"):
+            fast = resonances._newton(seeds, b, parity)
+            plain = _plain_newton(seeds, b, parity)
+            assert np.array_equal(fast, plain, equal_nan=True)
+
+    @pytest.mark.parametrize("a, rect", BENCH_CASES)
+    def test_harvest_matches_plain_loop(self, a, rect):
+        b = Barrier.from_two_mv(1.0, a)
+        poles = find_poles(b, rect)
+        for parity in ("+", "-"):
+            roots, residuals = _plain_harvest(b, rect, parity)
+            got = [p for p in poles if p.parity == parity]
+            assert [p.k_pole for p in got] == roots
+            assert [p.residual for p in got] == residuals
+
+    def test_work_counter(self, barrier, monkeypatch):
+        # frozen seeds cost nothing: at the defaults at most 40% of the
+        # plain loop's 60 x seeds point evaluations, per parity
+        rect = (0.5, 3.0, -1.0, 0.0)
+        points = {"+": 0, "-": 0}
+        w_values = resonances._w_values
+
+        def counting(k, b, parity):
+            points[parity] += np.size(k)
+            return w_values(k, b, parity)
+
+        monkeypatch.setattr(resonances, "_w_values", counting)
+        find_poles(barrier, rect)
+        n_seeds = _seed_grid(rect).size
+        for parity in ("+", "-"):
+            assert points[parity] <= 0.4 * resonances._NEWTON_STEPS * n_seeds
 
 
 class TestReconstruction:
