@@ -54,6 +54,8 @@ _PHYSICS_ERRORS = (
     InsufficientFluxError,
 )
 
+MAX_K0_ROWS = 10**6  # a k0 grid larger than this is a configuration error
+
 DEFAULTS = {
     "a": 15.0,
     "mass": 1.0,
@@ -87,9 +89,9 @@ def _number(key: str, value) -> float:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """Defaults < config file < flags, every number checked and a float."""
+    """Defaults < config file < flags, each checked by its default's type."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -99,36 +101,22 @@ def load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in ("a", "mass", "two_mV", "height", "k0_min", "k0_max",
-                "k0_step", "detector_x", "out"):
+    for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if getattr(args, "L0", None):
-        cfg["L0"] = args.L0
-    if getattr(args, "k0", None):
-        cfg["k0_list"] = args.k0
-    for key in ("a", "mass", "two_mV", "height", "k0_min", "k0_max",
-                "k0_step", "detector_x"):
-        if key != "height" or cfg[key] is not None:
-            cfg[key] = _number(key, cfg[key])
-    for key in ("L0", "k0_list"):
-        if not isinstance(cfg[key], list):
-            raise ConfigError(f"{key} must be a list, got {cfg[key]!r}")
-        cfg[key] = [_number(key, x) for x in cfg[key]]
-    if not cfg["L0"]:
-        raise ConfigError("L0 needs at least one packet width")
-    if not cfg["k0_list"]:
-        raise ConfigError("k0_list needs at least one k0")
-    if not isinstance(cfg["out"], str):
-        raise ConfigError(f"out must be a file path, got {cfg['out']!r}")
-    if hasattr(args, "re_min"):
-        re_lo, re_hi, im_lo, im_hi = (
-            _number(key, getattr(args, key))
-            for key in ("re_min", "re_max", "im_min", "im_max"))
-        if not (re_lo < re_hi and im_lo < im_hi):
-            raise ConfigError(
-                "search rectangle needs re_min < re_max and im_min < im_max")
+        value = cfg[key] if flag is None else flag
+        if isinstance(default, list):
+            if not isinstance(value, list) or not value:
+                raise ConfigError(
+                    f"{key} must be a non-empty list, got {value!r}")
+            value = [_number(key, x) for x in value]
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{key} repeats a value: {value}")
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a file path, got {value!r}")
+        elif value is not None or default is not None:
+            value = _number(key, value)
+        cfg[key] = value
     return cfg
 
 
@@ -142,8 +130,16 @@ def _k0_grid(cfg: dict) -> np.ndarray:
     lo, hi, step = cfg["k0_min"], cfg["k0_max"], cfg["k0_step"]
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"bad k0 range: [{lo}, {hi}] step {step}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + np.arange(n) * step
+    n = (hi - lo) / step + 1e-9
+    if not n < MAX_K0_ROWS:  # also catches an infinite quotient
+        raise ConfigError(f"k0 grid of {n:.3g} rows exceeds {MAX_K0_ROWS}")
+    return lo + np.arange(int(math.floor(n)) + 1) * step
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _param_comment(cfg: dict, barrier: Barrier) -> str:
@@ -198,7 +194,9 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     l0s = sorted(cfg["L0"])
     if args.which == "fig3":
         k0s, tb = _closed_grid(cfg, barrier, l0s)
-        header = ["k0"] + [f"t_tunnel_L{int(l0)}" for l0 in l0s]
+        header = ["k0"] + [
+            f"t_tunnel_L{np.format_float_positional(l0, trim='-')}"
+            for l0 in l0s]
         columns = [k0s, *tb.t_tunnel.T]
     else:
         k0s, tb = _closed_grid(cfg, barrier, l0s[:1])
@@ -264,15 +262,16 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                     "ratio": gap_d / gap,
                 })
     report["all_pass"] = all_pass
-    with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg["out"], report)
     return 0 if all_pass else 4
 
 
 def cmd_resonances(cfg: dict, args: argparse.Namespace) -> int:
+    rect = tuple(_number(key, getattr(args, key)) for key in _RECT_KEYS)
+    if not (rect[0] < rect[1] and rect[2] < rect[3]):
+        raise ConfigError(
+            "search rectangle needs re_min < re_max and im_min < im_max")
     barrier = _barrier(cfg)
-    rect = (args.re_min, args.re_max, args.im_min, args.im_max)
     dec = build_decomposition(barrier, search_rect=rect)
     rep = verify_remainder(dec)
     e_samples = [float(e) for e in dec.energies[:: max(1, len(dec.energies) // 25)]]
@@ -297,9 +296,7 @@ def cmd_resonances(cfg: dict, args: argparse.Namespace) -> int:
             {"E0": e, "delay": lorentzian_delay(e, dec)} for e in e_samples
         ],
     }
-    with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg["out"], report)
     return 0 if rep["ok"] else 4
 
 
@@ -335,11 +332,49 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
     _write_csv(cfg["out"], _param_comment(cfg, barrier),
                ["k0", "empirical_delay", "closed_form_delay",
                 "transmitted_fraction"], list(zip(*rows)))
-    with open(cfg["out"] + ".gridinfo.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg["out"] + ".gridinfo.json", sidecar)
     return 0
+
+
+_BARRIER_KEYS = ("a", "mass", "two_mV", "height")
+_RECT_KEYS = ("re_min", "re_max", "im_min", "im_max")
+_GRID_KEYS = (*_BARRIER_KEYS, "k0_min", "k0_max", "k0_step", "L0", "out")
+
+# command -> handler, help, the keys it reads (each becomes one flag)
+COMMANDS = {
+    "sweep": (cmd_sweep, "full TimeBudget table as CSV", _GRID_KEYS),
+    "figure": (cmd_figure, "tunneling-time / age-difference curves",
+               _GRID_KEYS),
+    "oracle-compare": (cmd_oracle_compare,
+                       "closed forms vs quadrature oracles (JSON)",
+                       (*_BARRIER_KEYS, "L0", "k0_list", "out")),
+    "resonances": (cmd_resonances, "pole report (JSON)",
+                   (*_BARRIER_KEYS, *_RECT_KEYS, "out")),
+    "propagate": (cmd_propagate,
+                  "time-domain delay measurements at the smallest L0 (CSV)",
+                  (*_BARRIER_KEYS, "L0", "k0_list", "detector_x", "out")),
+}
+
+# key (the flag's dest) -> flag and its argparse keywords (type float unless
+# given); the search rectangle is flag-only, every other key is a config key
+FLAGS = {
+    "a": ("--a", {"help": "barrier width"}),
+    "mass": ("--mass", {"help": "particle mass"}),
+    "two_mV": ("--two-m-v", {"help": "barrier height as 2mV"}),
+    "height": ("--height", {"help": "barrier height V (wins over --two-m-v)"}),
+    "k0_min": ("--k0-min", {}),
+    "k0_max": ("--k0-max", {}),
+    "k0_step": ("--k0-step", {}),
+    "L0": ("--l0", {"action": "append", "help": "packet width; repeatable"}),
+    "k0_list": ("--k0", {"action": "append", "metavar": "K0",
+                         "help": "packet k0; repeatable"}),
+    "detector_x": ("--detector-x", {"help": "detector position"}),
+    "out": ("--out", {"type": str, "help": "output file path"}),
+    "re_min": ("--re-min", {"default": 0.5}),
+    "re_max": ("--re-max", {"default": 3.0}),
+    "im_min": ("--im-min", {"default": -1.0}),
+    "im_max": ("--im-max", {"default": 0.0}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,64 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--a", type=float, help="barrier width")
-        p.add_argument("--mass", type=float, help="particle mass")
-        p.add_argument("--two-m-v", dest="two_mV", type=float,
-                       help="barrier height as 2mV")
-        p.add_argument("--height", type=float,
-                       help="barrier height V (wins over --two-m-v)")
-        p.add_argument("--k0-min", dest="k0_min", type=float)
-        p.add_argument("--k0-max", dest="k0_max", type=float)
-        p.add_argument("--k0-step", dest="k0_step", type=float)
-        p.add_argument("--l0", dest="L0", type=float, action="append",
-                       help="packet width; repeat for several")
-        p.add_argument("--k0", type=float, action="append",
-                       help="explicit k0 (repeatable; oracle/propagate)")
-        p.add_argument("--out", help="output file path")
-
-    p_sweep = sub.add_parser("sweep", help="full TimeBudget table as CSV")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_fig = sub.add_parser("figure", help="tunneling-time / age-difference curves")
-    p_fig.add_argument("which", choices=["fig3", "fig4"])
-    common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_oc = sub.add_parser("oracle-compare",
-                          help="closed forms vs quadrature oracles (JSON)")
-    common(p_oc)
-    p_oc.set_defaults(func=cmd_oracle_compare)
-
-    p_res = sub.add_parser("resonances", help="pole report (JSON)")
-    common(p_res)
-    p_res.add_argument("--re-min", type=float, default=0.5)
-    p_res.add_argument("--re-max", type=float, default=3.0)
-    p_res.add_argument("--im-min", type=float, default=-1.0)
-    p_res.add_argument("--im-max", type=float, default=0.0)
-    p_res.set_defaults(func=cmd_resonances)
-
-    p_prop = sub.add_parser("propagate",
-                            help="time-domain delay measurements (CSV)")
-    common(p_prop)
-    p_prop.add_argument("--detector-x", dest="detector_x", type=float)
-    p_prop.set_defaults(func=cmd_propagate)
-
+    for name, (func, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "figure":
+            p.add_argument("which", choices=["fig3", "fig4"])
+        for key in keys:
+            flag, kwargs = FLAGS[key]
+            p.add_argument(flag, dest=key, **{"type": float, **kwargs})
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(cfg, args)
+        return args.func(load_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -216,6 +216,136 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--l0", "150", "--l0", "150"],
+        ["figure", "fig3", "--l0", "300", "--l0", "150", "--l0", "300"],
+        ["oracle-compare", "--k0", "0.7", "--k0", "0.7"],
+    ])
+    def test_repeated_list_value_exits_2(self, tmp_path, capsys, argv):
+        # a repeat would duplicate rows or columns of the output
+        out = tmp_path / "x.out"
+        code = main([*argv, "--out", str(out)])
+        assert code == 2
+        assert "repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_list_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k0_list": [0.7, 1.1, 0.7]}))
+        out = tmp_path / "x.json"
+        code = main(["--config", str(cfg), "oracle-compare", "--out",
+                     str(out)])
+        assert code == 2
+        assert "k0_list repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
+    # ~1.5e13 rows, and an infinite quotient: both refused from the count
+    # alone, before any array is allocated
+    @pytest.mark.parametrize("step", ["1e-13", "5e-324"])
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "fig4"]])
+    def test_oversized_k0_grid_exits_2(self, tmp_path, capsys, command, step):
+        out = tmp_path / "x.csv"
+        code = main([*command, "--k0-step", step, "--out", str(out)])
+        assert code == 2
+        assert f"exceeds {cli.MAX_K0_ROWS}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (command, flag) pairs of flags the command does not read
+UNREAD_FLAGS = [
+    (["sweep"], "--k0"),
+    (["figure", "fig3"], "--k0"),
+    (["oracle-compare"], "--k0-min"),
+    (["oracle-compare"], "--k0-max"),
+    (["oracle-compare"], "--k0-step"),
+    (["resonances"], "--k0-min"),
+    (["resonances"], "--k0-max"),
+    (["resonances"], "--k0-step"),
+    (["resonances"], "--l0"),
+    (["resonances"], "--k0"),
+    (["propagate"], "--k0-min"),
+    (["propagate"], "--k0-max"),
+    (["propagate"], "--k0-step"),
+]
+
+_BARRIER_FLAGS = ["--a", "--mass", "--two-m-v", "--height"]
+_GRID_FLAGS = [*_BARRIER_FLAGS, "--k0-min", "--k0-max", "--k0-step", "--l0",
+               "--out"]
+READ_FLAGS = {
+    ("sweep",): _GRID_FLAGS,
+    ("figure", "fig3"): _GRID_FLAGS,
+    ("oracle-compare",): [*_BARRIER_FLAGS, "--l0", "--k0", "--out"],
+    ("resonances",): [*_BARRIER_FLAGS, "--re-min", "--re-max", "--im-min",
+                      "--im-max", "--out"],
+    ("propagate",): [*_BARRIER_FLAGS, "--l0", "--k0", "--detector-x", "--out"],
+}
+
+# flag -> config key, value on the command line, value it must give
+FLAG_VALUES = {
+    "--a": ("a", "12.5", 12.5),
+    "--mass": ("mass", "1.5", 1.5),
+    "--two-m-v": ("two_mV", "0.75", 0.75),
+    "--height": ("height", "0.25", 0.25),
+    "--k0-min": ("k0_min", "0.2", 0.2),
+    "--k0-max": ("k0_max", "0.9", 0.9),
+    "--k0-step": ("k0_step", "0.05", 0.05),
+    "--l0": ("L0", "120", [120.0]),
+    "--k0": ("k0_list", "0.45", [0.45]),
+    "--detector-x": ("detector_x", "27", 27.0),
+    "--out": ("out", "flag.out", "flag.out"),
+    "--re-min": ("re_min", "0.6", 0.6),
+    "--re-max": ("re_max", "2.5", 2.5),
+    "--im-min": ("im_min", "-0.8", -0.8),
+    "--im-max": ("im_max", "0.05", 0.05),
+}
+
+# a value for every config key, none equal to a default or a flag value
+FILE_CONFIG = {
+    "a": 14.0, "mass": 1.1, "two_mV": 1.2, "height": 0.4, "k0_min": 0.02,
+    "k0_max": 1.4, "k0_step": 0.02, "L0": [200.0, 400.0], "k0_list": [0.9],
+    "detector_x": 31.0, "out": "file.out",
+}
+
+
+class TestPerCommandFlags:
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[
+        f"{command[0]} {flag}" for command, flag in UNREAD_FLAGS])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "0.5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command[0]} {flag}")
+        for command, flags in READ_FLAGS.items() for flag in flags])
+    def test_read_flag_wins_over_config_file(self, tmp_path, command, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FILE_CONFIG))
+        key, text, want = FLAG_VALUES[flag]
+        args = cli.build_parser().parse_args(
+            ["--config", str(cfg_path), *command, flag, text])
+        cfg = cli.load_config(args)
+        if key in cli.DEFAULTS:
+            assert cfg[key] == want
+            for other in FILE_CONFIG.keys() - {key}:
+                assert cfg[other] == FILE_CONFIG[other]
+        else:
+            # the search rectangle is flag-only; it must reach the report
+            assert getattr(args, key) == want
+            out = tmp_path / "r.json"
+            assert main(["resonances", flag, text, "--out", str(out)]) == 0
+            rect = json.loads(out.read_text())["search_rect"]
+            order = ["re_min", "re_max", "im_min", "im_max"]
+            assert rect[order.index(key)] == want
+
+    def test_each_command_accepts_exactly_its_flags(self, command_flags):
+        assert command_flags == {command[0]: set(flags)
+                                 for command, flags in READ_FLAGS.items()}
+        assert sum(map(len, command_flags.values())) == 42
+
 
 class TestFigure:
     def test_fig3_columns_and_values(self, tmp_path, barrier):
@@ -231,6 +361,14 @@ class TestFigure:
             assert row[1] == pytest.approx(
                 age_difference(Packet(row[0], 150.0), barrier).t_tunnel,
                 rel=1e-12)
+
+    def test_fig3_fractional_widths_name_distinct_columns(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        assert main(["figure", "fig3", "--l0", "150.7", "--l0", "150.2",
+                     "--k0-min", "1.0", "--k0-max", "1.0", "--k0-step", "1.0",
+                     "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert header == ["k0", "t_tunnel_L150.2", "t_tunnel_L150.7"]
 
     def test_fig4_hartman_dip(self, tmp_path):
         out = tmp_path / "fig4.csv"

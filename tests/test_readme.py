@@ -1,4 +1,5 @@
-"""The README quick tour must name only API the package still exports."""
+"""The README must name only API the package still exports and list exactly
+the flags each CLI command accepts."""
 
 import ast
 import re
@@ -27,3 +28,13 @@ def test_quick_tour_compiles_and_imports_existing_names():
     assert imported
     missing = [name for name in imported if not hasattr(tunneltimes, name)]
     assert missing == []
+
+
+def test_command_flag_table_matches_parser(command_flags):
+    rows = re.findall(r"^\| `([a-z-]+)[^`]*` \| (.*) \|$", README.read_text(),
+                      re.M)
+    listed = {command: set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+              for command, flags in rows}
+    assert len(listed) == len(rows), "a command is listed twice"
+    # both ways: every listed flag is accepted, every accepted flag is listed
+    assert listed == command_flags
