@@ -29,7 +29,6 @@ from .errors import (
 from .phasetime import k_tau_limit, phase_time, phase_time_fd
 from .propagator import (
     ArrivalRecord,
-    Grid1D,
     GridSpec,
     empirical_delay,
     evolve,

@@ -33,7 +33,7 @@ from .errors import (
     ValidityWarning,
 )
 from .phasetime import phase_time, phase_time_grid
-from .propagator import empirical_delay, suggest_grid
+from .propagator import empirical_delay
 from .quadrature import (
     QuadratureConfig,
     oracle_delay_B,
@@ -311,19 +311,18 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
         warnings.simplefilter("ignore", ValidityWarning)
         for k0 in cfg["k0_list"]:
             packet = Packet(k0, l0)
-            spec, n_steps = suggest_grid(packet, barrier, detector)
             tb = age_difference(packet, barrier)
             try:
-                delay, rec, _ = empirical_delay(packet, barrier, detector,
-                                                spec, n_steps)
+                delay, rec, _ = empirical_delay(packet, barrier, detector)
             except InsufficientFluxError:
                 starved += 1
                 continue
             rows.append([k0, delay, tb.dtau_A + tb.dtau_B,
                          rec.transmitted_fraction])
+            spec = rec.spec
             sidecar["grids"][_fmt(k0)] = {
                 "x_min": spec.x_min, "x_max": spec.x_max, "dx": spec.dx,
-                "dt": spec.dt, "n_steps": n_steps,
+                "dt": spec.dt, "n_steps": rec.n_steps,
                 "norm_drift": rec.norm_drift,
                 "wall_probability": rec.wall_probability,
             }

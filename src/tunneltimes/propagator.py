@@ -38,6 +38,10 @@ class GridSpec:
     dt: float
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "dx", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"grid {name} must be finite, got {value}")
         if not (self.x_max > self.x_min and self.dx > 0.0 and self.dt > 0.0):
             raise DomainError("inconsistent grid spec")
 
@@ -47,34 +51,26 @@ class GridSpec:
         n = int(round((self.x_max - self.x_min) / self.dx)) - 1
         return self.x_min + self.dx * np.arange(1, n + 1)
 
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Simulation state: the grid it lives on and the amplitudes."""
-
-    spec: GridSpec
-    amplitudes: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.spec.x
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.dx)
+    def norm(self, psi: np.ndarray) -> float:
+        """Discrete norm sum |psi|^2 dx of a state: its amplitudes at x."""
+        return float(np.sum(np.abs(psi) ** 2) * self.dx)
 
 
 @dataclass(frozen=True)
 class ArrivalRecord:
-    """Flux-weighted first-moment arrival data at one detector position."""
+    """Flux-weighted first-moment arrival data at one detector position,
+    with the grid and step count of the run that produced it."""
 
     detector_x: float
     mean_arrival: float
     transmitted_fraction: float
     norm_drift: float
     wall_probability: float
+    spec: GridSpec
+    n_steps: int
 
 
-def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> Grid1D:
+def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> np.ndarray:
     """Sample the incoming truncated plane wave onto the grid and normalize.
 
     Support is [-L0 - a/2, -a/2]; the whole support must fit strictly inside
@@ -91,12 +87,11 @@ def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> Grid1D:
     psi = np.where((x >= lo) & (x <= hi),
                    np.exp(1j * packet.k0 * x) / math.sqrt(packet.L0),
                    0.0).astype(complex)
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * spec.dx))
-    psi /= nrm
-    return Grid1D(spec, psi)
+    psi /= math.sqrt(spec.norm(psi))
+    return psi
 
 
-def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
+def _stepper(psi: np.ndarray, spec: GridSpec, barrier: Barrier, n_steps: int,
              probe: slice = slice(0, 0)) -> tuple[np.ndarray, np.ndarray]:
     """Advance n_steps of Crank-Nicolson; return psi and psi[probe] per step.
 
@@ -108,7 +103,7 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
     # Imported here: scipy.linalg is a slow import that only stepping needs.
     from scipy.linalg.lapack import zgttrf, zgttrs
 
-    m, spec = barrier.mass, state.spec
+    m = barrier.mass
     if spec.dt > m * spec.dx * spec.dx * (1.0 + 1e-12):
         raise DomainError("dt exceeds the m*dx^2 sanity bound")
     v = np.where(np.abs(spec.x) <= barrier.width / 2.0, barrier.height, 0.0)
@@ -118,7 +113,7 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
     dl, d, du, du2, ipiv, info = zgttrf(off, 0.5 + half_idt * (2.0 * t + v), off)
     if info != 0:
         raise DomainError(f"Crank-Nicolson factorization failed (zgttrf info={info})")
-    psi = state.amplitudes.copy()
+    psi = psi.copy()
     samples = np.empty((n_steps,) + psi[probe].shape, dtype=complex)
     for n in range(n_steps):
         y, _ = zgttrs(dl, d, du, du2, ipiv, psi)
@@ -127,27 +122,27 @@ def _stepper(state: Grid1D, barrier: Barrier, n_steps: int,
     return psi, samples
 
 
-def evolve(state: Grid1D, barrier: Barrier, n_steps: int) -> Grid1D:
+def evolve(psi: np.ndarray, spec: GridSpec, barrier: Barrier,
+           n_steps: int) -> np.ndarray:
     """Advance the state n_steps; unitary up to rounding, deterministic."""
-    psi, _ = _stepper(state, barrier, n_steps)
-    return Grid1D(state.spec, psi)
+    return _stepper(psi, spec, barrier, n_steps)[0]
 
 
 def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
-                    detector_x: float, n_steps: int) -> tuple[ArrivalRecord, Grid1D]:
+                    detector_x: float, n_steps: int) -> ArrivalRecord:
     """Propagate and accumulate the flux record at the detector.
 
-    Returns the arrival record and the final state. The mean arrival time is
-    the first moment of the probability current J(x_d, t); the transmitted
-    fraction is its time integral, i.e. the probability that has crossed the
-    detector by the end of the window. The record's norm drift and wall
-    probability (within 10 dx of either wall) are read from the final state.
+    The mean arrival time is the first moment of the probability current
+    J(x_d, t); the transmitted fraction is its time integral, i.e. the
+    probability that has crossed the detector by the end of the window. The
+    record's norm drift and wall probability (within 10 dx of either wall)
+    are read from the final state.
     """
     if not (barrier.width / 2.0 < detector_x < spec.x_max - 2 * spec.dx):
         raise DomainError("detector must sit past the barrier and inside the grid")
-    state = init_state(packet, barrier, spec)
+    psi = init_state(packet, barrier, spec)
     idx = int(round((detector_x - spec.x_min) / spec.dx)) - 1
-    psi, s = _stepper(state, barrier, n_steps, slice(idx - 1, idx + 2))
+    psi, s = _stepper(psi, spec, barrier, n_steps, slice(idx - 1, idx + 2))
     grad = (s[:, 2] - s[:, 0]) / (2.0 * spec.dx)
     j = np.imag(np.conj(s[:, 1]) * grad) / barrier.mass
     j = np.where(j > 0.0, j, 0.0)  # transmitted (outgoing) component only
@@ -158,10 +153,8 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
             f"transmitted fraction {frac:.3e} below 1e-6 at detector {detector_x}"
         )
     mean_t = float(np.sum(j * (spec.dt * np.arange(1, n_steps + 1)))) / flux_sum
-    final = Grid1D(spec, psi)
-    wall = float(np.sum(np.abs(np.r_[psi[:10], psi[-10:]]) ** 2) * spec.dx)
-    return ArrivalRecord(detector_x, mean_t, frac, abs(final.norm() - 1.0),
-                         wall), final
+    return ArrivalRecord(detector_x, mean_t, frac, abs(spec.norm(psi) - 1.0),
+                         spec.norm(np.r_[psi[:10], psi[-10:]]), spec, n_steps)
 
 
 def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
@@ -198,8 +191,9 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
                     ) -> tuple[float, ArrivalRecord, ArrivalRecord]:
     """Measured delay: mean arrival with the barrier minus without it.
 
-    Both runs share the grid and window. A missing spec comes from
-    suggest_grid; a missing n_steps spans suggest_grid's window at spec.dt.
+    Both runs share the grid and window, which each record names. Only a
+    missing spec or n_steps calls suggest_grid: a missing spec is its grid,
+    a missing n_steps spans its window at spec.dt.
     Returns (delay, barrier_record, free_record).
 
     Raises
@@ -207,11 +201,12 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
     InsufficientFluxError
         If the transmitted fraction of the barrier run is below 1e-6.
     """
-    auto_spec, auto_steps = suggest_grid(packet, barrier, detector_x)
-    spec = auto_spec if spec is None else spec
-    if n_steps is None:
-        n_steps = round(auto_steps * auto_spec.dt / spec.dt)
-    rec_barrier, _ = measure_arrival(packet, barrier, spec, detector_x, n_steps)
+    if spec is None or n_steps is None:
+        auto_spec, auto_steps = suggest_grid(packet, barrier, detector_x)
+        spec = auto_spec if spec is None else spec
+        if n_steps is None:
+            n_steps = round(auto_steps * auto_spec.dt / spec.dt)
+    rec_barrier = measure_arrival(packet, barrier, spec, detector_x, n_steps)
     free = Barrier(0.0, barrier.width, barrier.mass)
-    rec_free, _ = measure_arrival(packet, free, spec, detector_x, n_steps)
+    rec_free = measure_arrival(packet, free, spec, detector_x, n_steps)
     return rec_barrier.mean_arrival - rec_free.mean_arrival, rec_barrier, rec_free

@@ -44,6 +44,8 @@ _X20, _W20 = np.polynomial.legendre.leggauss(20)
 _X30 = np.concatenate([_X10, _X20])
 # Panels per integrand call: bounds the node arrays at 2048 * 30 points.
 _BLOCK_PANELS = 2048
+# Imaginary parts below this are rounding noise in any oracle result.
+_IMAG_ABS_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -212,13 +214,14 @@ def pv_integrate(
     return total + analytic
 
 
-def _check_real(value: complex, what: str, abs_floor: float = 1e-10) -> float:
+def _check_real(value: complex, what: str) -> float:
     """Return the real part, rejecting any imaginary part above noise.
 
     The absolute floor covers results that are themselves zero up to rounding
     (sine nodes, free limits), where a relative test is meaningless.
     """
-    if abs(value.imag) > 1e-8 * abs(value.real) and abs(value.imag) > abs_floor:
+    imag = abs(value.imag)
+    if imag > 1e-8 * abs(value.real) and imag > _IMAG_ABS_FLOOR:
         raise ImaginaryResidueError(
             f"{what} came out complex: {value!r} (|imag| > 1e-8 |real|)"
         )

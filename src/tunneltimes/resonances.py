@@ -65,12 +65,11 @@ class ResonancePole:
 
 @dataclass(frozen=True)
 class ResonanceDecomposition:
-    """Harvested poles plus real-axis samples of the remainder factor G+-."""
+    """Harvested poles plus the real energies where |G+-| = 1 is checked."""
 
     barrier: Barrier
     poles: tuple[ResonancePole, ...]
     energies: np.ndarray = field(repr=False)
-    remainder_modulus: dict = field(repr=False)  # parity -> |G|
 
     def poles_of(self, parity: str) -> list[ResonancePole]:
         return [p for p in self.poles if p.parity == parity]
@@ -307,28 +306,27 @@ def reconstruct_amplitude(k, decomposition: ResonanceDecomposition, parity: str)
     return prod
 
 
-def _remainder(k, decomposition: ResonanceDecomposition, parity: str):
+def _remainders(k, decomposition: ResonanceDecomposition):
+    """[G+, G-] at real wavenumber k: each F over its pole-product factor."""
     F_p, F_m, _, _ = amplitude_grid(k, decomposition.barrier)
-    F = F_p if parity == "+" else F_m
-    return F / reconstruct_amplitude(k, decomposition, parity)
+    return [F / reconstruct_amplitude(k, decomposition, parity)
+            for F, parity in ((F_p, "+"), (F_m, "-"))]
 
 
 def build_decomposition(
     barrier: Barrier, search_rect=(0.5, 3.0, -1.0, 0.0)
 ) -> ResonanceDecomposition:
-    """Harvest poles and sample the remainder factor on the real energy axis."""
+    """Harvest poles and fix the real energies of the remainder check."""
     poles = tuple(find_poles(barrier, search_rect))
     e_hi = 0.5 * search_rect[1] ** 2 / barrier.mass * 0.9
     energies = np.linspace(0.02, e_hi, _N_ENERGIES)
-    ks = np.sqrt(2.0 * barrier.mass * energies)
-    dec = ResonanceDecomposition(barrier, poles, energies, remainder_modulus={})
-    for parity in ("+", "-"):
-        dec.remainder_modulus[parity] = np.abs(_remainder(ks, dec, parity))
-    return dec
+    return ResonanceDecomposition(barrier, poles, energies)
 
 
 def verify_remainder(decomposition: ResonanceDecomposition) -> dict:
-    """Check |G| = 1 on the stored samples and that arg G is pole-free.
+    """Check |G| = 1 at the stored energies and that arg G is pole-free.
+
+    Both checks evaluate G from the decomposition's own pole list.
 
     A conjugate-paired pole factor is unimodular on the real axis, so the
     modulus alone cannot reveal a spurious (or missing) entry in the pole
@@ -339,18 +337,15 @@ def verify_remainder(decomposition: ResonanceDecomposition) -> dict:
 
     Returns a report dict with 'ok', 'max_modulus_error', 'max_phase_step'.
     """
-    worst_mod = max(float(np.max(np.abs(g - 1.0)))
-                    for g in decomposition.remainder_modulus.values())
     e = decomposition.energies
     m = decomposition.barrier.mass
+    worst_mod = max(float(np.max(np.abs(np.abs(g) - 1.0)))
+                    for g in _remainders(np.sqrt(2.0 * m * e), decomposition))
     k_lo = math.sqrt(2.0 * m * float(e.min()))
     k_hi = math.sqrt(2.0 * m * float(e.max()))
     ks = np.linspace(max(k_lo, 0.05), k_hi, _N_PHASE)
-    worst_step = 0.0
-    for parity in ("+", "-"):
-        G = _remainder(ks, decomposition, parity)
-        steps = np.abs(np.angle(G[1:] / G[:-1]))
-        worst_step = max(worst_step, float(np.max(steps)))
+    worst_step = max(float(np.max(np.abs(np.angle(G[1:] / G[:-1]))))
+                     for G in _remainders(ks, decomposition))
     return {
         "ok": worst_mod <= _MODULUS_TOL and worst_step <= _MAX_PHASE_STEP,
         "max_modulus_error": worst_mod,
@@ -375,12 +370,8 @@ def lorentzian_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
 def remainder_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
     """Remainder term (1/2) sum_parity d(arg G)/dE at E0, by Richardson FD."""
     m = decomposition.barrier.mass
-
-    def remainders(es):
-        ks = np.sqrt(2.0 * m * es)
-        return [_remainder(ks, decomposition, parity) for parity in ("+", "-")]
-
-    return 0.5 * _phase_slope(remainders, E0)
+    return 0.5 * _phase_slope(
+        lambda es: _remainders(np.sqrt(2.0 * m * es), decomposition), E0)
 
 
 __all__ = [

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tunneltimes
-from tunneltimes import cli, closedform, phasetime, quadrature
+from tunneltimes import cli, closedform, phasetime, propagator, quadrature
 from tunneltimes.cli import main
 
 
@@ -19,7 +19,7 @@ def _count_calls(monkeypatch, fn):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for mod in (cli, closedform, phasetime, quadrature):
+    for mod in (cli, closedform, phasetime, propagator, quadrature):
         for name, val in list(vars(mod).items()):
             if val is fn:
                 monkeypatch.setattr(mod, name, counting)
@@ -452,6 +452,32 @@ class TestPropagate:
         dt = sidecar["grids"]["1"]["dt"]
         assert abs(rows[0][1]) <= dt
         assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sidecar_is_the_records_grid(self, tmp_path, monkeypatch):
+        # one suggest_grid call per k0, and the sidecar writes the grid that
+        # each barrier run's record names
+        suggested = _count_calls(monkeypatch, propagator.suggest_grid)
+        records = []
+        delay = cli.empirical_delay
+
+        def recording(*args):
+            result = delay(*args)
+            records.append(result[1])
+            return result
+
+        monkeypatch.setattr(cli, "empirical_delay", recording)
+        out = tmp_path / "prop.csv"
+        assert main(["propagate", "--k0", "1.0", "--k0", "1.2", "--l0", "15",
+                     "--detector-x", "20", "--out", str(out)]) == 0
+        assert len(suggested) == 2
+        sidecar = json.loads((tmp_path / "prop.csv.gridinfo.json").read_text())
+        assert len(records) == 2
+        for key, rec in zip(("1", "1.2"), records):
+            grid = sidecar["grids"][key]
+            spec = rec.spec
+            assert [grid[name] for name in ("x_min", "x_max", "dx", "dt",
+                                            "n_steps")] \
+                == [spec.x_min, spec.x_max, spec.dx, spec.dt, rec.n_steps]
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["propagate", "--k0", "1.2", "--l0", "15",

@@ -29,17 +29,28 @@ def small_state(barrier):
     return init_state(Packet(1.0, 30.0), barrier, SMALL)
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "dx", "dt"])
+    def test_non_finite_field_rejected(self, field, value):
+        # an infinite wall used to construct and then overflow in init_state
+        fields = {"x_min": -130.0, "x_max": 120.0, "dx": 0.1, "dt": 0.005}
+        fields[field] = value
+        with pytest.raises(DomainError, match=field):
+            GridSpec(**fields)
+
+
 class TestInitState:
     def test_norm_one(self, small_state):
-        assert small_state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert SMALL.norm(small_state) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_position(self, small_state, barrier):
-        x = small_state.x
-        mean = float(np.sum(x * np.abs(small_state.amplitudes) ** 2) * SMALL.dx)
+        x = SMALL.x
+        mean = float(np.sum(x * np.abs(small_state) ** 2) * SMALL.dx)
         assert mean == pytest.approx(-7.5 - 15.0, abs=SMALL.dx)
 
     def test_mean_momentum(self, small_state):
-        psi = small_state.amplitudes
+        psi = small_state
         k = 2.0 * math.pi * np.fft.fftfreq(len(psi), d=SMALL.dx)
         spec = np.abs(np.fft.fft(psi)) ** 2
         mean_k = float(np.sum(k * spec) / np.sum(spec))
@@ -54,27 +65,27 @@ class TestEvolve:
     def test_free_group_velocity(self, small_state):
         free = Barrier(0.0, 15.0, 1.0)
         n = 3000
-        out = evolve(small_state, free, n)
-        x = out.x
-        x0 = float(np.sum(x * np.abs(small_state.amplitudes) ** 2) * SMALL.dx)
-        x1 = float(np.sum(x * np.abs(out.amplitudes) ** 2) * SMALL.dx)
+        out = evolve(small_state, SMALL, free, n)
+        x = SMALL.x
+        x0 = float(np.sum(x * np.abs(small_state) ** 2) * SMALL.dx)
+        x1 = float(np.sum(x * np.abs(out) ** 2) * SMALL.dx)
         v = (x1 - x0) / (n * SMALL.dt)
         assert abs(v - 1.0) < 0.01
 
     def test_norm_conserved(self, small_state, barrier):
-        out = evolve(small_state, barrier, 2000)
-        assert abs(out.norm() - 1.0) < 1e-7
+        out = evolve(small_state, SMALL, barrier, 2000)
+        assert abs(SMALL.norm(out) - 1.0) < 1e-7
 
     def test_cfl_guard(self, barrier):
         spec = GridSpec(-130.0, 120.0, 0.1, 0.1)
         state = init_state(Packet(1.0, 30.0), barrier, spec)
         with pytest.raises(DomainError):
-            evolve(state, barrier, 1)
+            evolve(state, spec, barrier, 1)
 
     def test_determinism(self, small_state, barrier):
-        a = evolve(small_state, barrier, 500)
-        b = evolve(small_state, barrier, 500)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        a = evolve(small_state, SMALL, barrier, 500)
+        b = evolve(small_state, SMALL, barrier, 500)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n_steps", [1, 50])
     def test_matches_dense_crank_nicolson(self, barrier, n_steps):
@@ -82,7 +93,7 @@ class TestEvolve:
         # and the reuse of one factorization across steps.
         spec = GridSpec(-40.0, 20.0, 0.3, 0.04)
         state = init_state(Packet(1.0, 20.0), barrier, spec)
-        x = state.x
+        x = spec.x
         assert len(x) == 199
         v = np.where(np.abs(x) <= barrier.width / 2.0, barrier.height, 0.0)
         t = 1.0 / (2.0 * barrier.mass * spec.dx ** 2)
@@ -90,10 +101,10 @@ class TestEvolve:
              - t * np.eye(len(x), k=-1))
         a_mat = np.eye(len(x)) + 0.5j * spec.dt * h
         b_mat = np.eye(len(x)) - 0.5j * spec.dt * h
-        ref = state.amplitudes
+        ref = state
         for _ in range(n_steps):
             ref = np.linalg.solve(a_mat, b_mat @ ref)
-        got = evolve(state, barrier, n_steps).amplitudes
+        got = evolve(state, spec, barrier, n_steps)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -103,22 +114,24 @@ class TestArrival:
         k0 = 1.5
         packet = Packet(k0, 40.0)
         spec = GridSpec(-220.0, 220.0, 0.12, 0.006)
-        rec, _ = measure_arrival(packet, barrier, spec, 25.0, 22000)
+        rec = measure_arrival(packet, barrier, spec, 25.0, 22000)
         t_coeff = abs(amplitude_grid(k0, barrier)[3]) ** 2
         assert rec.transmitted_fraction == pytest.approx(t_coeff, rel=0.10)
 
     def test_pinned_small_grid(self, barrier):
         # Pinned to the earlier sparse-LU stepper's values, which the LAPACK
         # stepper reproduces to ~1e-12 relative.
-        rec, final = measure_arrival(Packet(1.0, 30.0), barrier, SMALL, 25.0,
-                                     12000)
+        packet = Packet(1.0, 30.0)
+        rec = measure_arrival(packet, barrier, SMALL, 25.0, 12000)
+        final = evolve(init_state(packet, barrier, SMALL), SMALL, barrier,
+                       12000)
         assert rec.mean_arrival == pytest.approx(40.828628885566424, rel=1e-9)
         assert rec.transmitted_fraction == pytest.approx(0.08516689572862175,
                                                          rel=1e-9)
-        assert rec.norm_drift == pytest.approx(abs(final.norm() - 1.0),
+        assert rec.norm_drift == pytest.approx(abs(SMALL.norm(final) - 1.0),
                                                abs=1e-15)
         assert rec.norm_drift < 1e-9
-        density = np.abs(final.amplitudes) ** 2
+        density = np.abs(final) ** 2
         edges = np.r_[density[:10], density[-10:]]
         assert rec.wall_probability == pytest.approx(np.sum(edges) * SMALL.dx,
                                                      rel=1e-12)
@@ -147,7 +160,7 @@ class TestEmpiricalDelay:
 
         def fake(packet, barrier, spec, detector_x, n_steps):
             seen.append(n_steps)
-            return ArrivalRecord(detector_x, 1.0, 1.0, 0.0, 0.0), None
+            return ArrivalRecord(detector_x, 1.0, 1.0, 0.0, 0.0, spec, n_steps)
 
         monkeypatch.setattr(propagator, "measure_arrival", fake)
         packet = Packet(1.5, 30.0)
@@ -159,6 +172,28 @@ class TestEmpiricalDelay:
         assert seen[:2] == [n, n]
         assert abs(seen[2] * fine.dt - n * spec.dt) <= spec.dt
         assert seen[4:] == [7, 7]
+
+    def test_records_name_their_grid(self, barrier, monkeypatch):
+        # suggest_grid runs only for a missing grid; each record names the
+        # grid and step count that produced it
+        calls = []
+        suggest = propagator.suggest_grid
+
+        def counting(*args):
+            calls.append(suggest(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(propagator, "suggest_grid", counting)
+        packet = Packet(1.0, 30.0)
+        coarse = GridSpec(-130.0, 120.0, 0.2, 0.02)
+        _, rec, free = empirical_delay(packet, barrier, 25.0, coarse, 2000)
+        assert calls == []
+        assert (rec.spec, rec.n_steps) == (free.spec, free.n_steps) \
+            == (coarse, 2000)
+        _, rec, free = empirical_delay(packet, barrier, 25.0)
+        assert len(calls) == 1
+        assert (rec.spec, rec.n_steps) == (free.spec, free.n_steps) \
+            == calls[0]
 
     def test_hartman_sign_moderate_packet(self, barrier):
         packet = Packet(0.5, 40.0)

@@ -223,9 +223,9 @@ class TestReconstruction:
 
     def test_remainder_unimodular_100_samples(self, decomposition):
         assert len(decomposition.energies) == 100
-        for parity in ("+", "-"):
-            assert np.max(np.abs(
-                decomposition.remainder_modulus[parity] - 1.0)) < 1e-6
+        ks = np.sqrt(2.0 * decomposition.barrier.mass * decomposition.energies)
+        for g in resonances._remainders(ks, decomposition):
+            assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-6
 
     def test_verify_passes(self, decomposition):
         rep = verify_remainder(decomposition)
@@ -243,7 +243,6 @@ class TestReconstruction:
             barrier=barrier,
             poles=decomposition.poles + (spurious,),
             energies=decomposition.energies,
-            remainder_modulus=decomposition.remainder_modulus,
         )
         assert not verify_remainder(bad)["ok"]
 
@@ -253,9 +252,28 @@ class TestReconstruction:
             barrier=barrier,
             poles=tuple(p for p in decomposition.poles if p is not sharpest),
             energies=decomposition.energies,
-            remainder_modulus=decomposition.remainder_modulus,
         )
         assert not verify_remainder(bad)["ok"]
+
+    def test_remainder_amplitude_calls(self, barrier, monkeypatch):
+        # one amplitude_grid call gives both parities: the 100 energies and
+        # the 600-point phase walk cost one call each, the FD slope one call
+        calls = []
+        amplitude_grid = resonances.amplitude_grid
+
+        def counting(k, b):
+            calls.append(np.size(k))
+            return amplitude_grid(k, b)
+
+        monkeypatch.setattr(resonances, "amplitude_grid", counting)
+        dec = build_decomposition(barrier)
+        report = verify_remainder(dec)
+        assert calls == [100, 600]
+        assert report == {"ok": True, "max_modulus_error": 1.1102230246251565e-15,
+                          "max_phase_step": 0.05915379680277437}
+        calls.clear()
+        assert remainder_delay(0.5 * 1.1 ** 2, dec) == -12.15076974303632
+        assert calls == [4]
 
 
 class TestLorentzianDelay:
@@ -269,7 +287,6 @@ class TestLorentzianDelay:
         )
         dec = ResonanceDecomposition(
             barrier=barrier, poles=(pole,), energies=np.array([ep.real]),
-            remainder_modulus={},
         )
         assert lorentzian_delay(ep.real, dec) == pytest.approx(
             2.0 / pole.Gamma, rel=1e-12

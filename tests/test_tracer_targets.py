@@ -10,6 +10,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+import tunneltimes.cli  # noqa: F401  (install() wraps every target module)
+from tunneltimes import propagator
+from tunneltimes.errors import InsufficientFluxError
+from tunneltimes.propagator import GridSpec
+from tunneltimes.wavepacket import Packet
+
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
@@ -36,3 +44,19 @@ def test_every_trace_target_resolves():
         if not callable(getattr(module, fn_name, None)):
             missing.append(f"{module_name}.{fn_name}")
     assert not missing, f"tracer targets missing from tunneltimes: {missing}"
+
+
+def test_point_step_counter_reads_measure_arrival_arguments(barrier):
+    # The tracer reads spec and n_steps as measure_arrival's positional
+    # arguments 2 and 4; empirical_delay must keep passing them that way.
+    tracer = _load_tracer().Tracer()
+    spec = GridSpec(-130.0, 120.0, 0.1, 0.005)
+    tracer.install()
+    try:
+        with pytest.raises(InsufficientFluxError):
+            # a 20-step window: the barrier run raises before the free run
+            propagator.empirical_delay(Packet(1.0, 30.0), barrier, 60.0,
+                                       spec, 20)
+    finally:
+        tracer.uninstall()
+    assert tracer.work["propagator.measure_arrival"] == len(spec.x) * 20
