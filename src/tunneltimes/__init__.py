@@ -54,7 +54,7 @@ from .resonances import (
     verify_remainder,
     winding_count,
 )
-from .scattering import Barrier, amplitude_grid, small_a_amplitudes
+from .scattering import Barrier, amplitude_grid
 from .wavepacket import Packet, f_amp, momentum_density
 
 __version__ = "0.1.0"

@@ -151,8 +151,10 @@ def _param_comment(cfg: dict, barrier: Barrier) -> str:
 
 def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
     """One row per element of the broadcast columns, in C order."""
-    cols = np.broadcast_arrays(*columns)
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(("%.17g" % c).replace("%", "%%") if c.ndim == 0 else "%.17g"
+                    for c in columns) + "\n"  # scalar columns formatted once
+    cols = np.broadcast_arrays(*(c for c in columns if c.ndim))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(comment + "\n" + ",".join(header) + "\n")
         # 64 leading-axis slices at a time keep few Python floats alive

@@ -30,15 +30,15 @@ import numpy as np
 from .errors import CountMismatchError, DomainError, NonConvergenceError
 from .phasetime import _phase_slope
 from .scattering import Barrier, _w_terms, amplitude_grid
-from .special import chi_w
 
 _NEWTON_STEPS = 60
 _ORBIT_MEMORY = 8        # longest Newton orbit period that freezes a seed
 _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
 _SEED_STEP = 0.05        # spacing of the Newton seed grid
-_MAX_POLES = 64
+_MAX_POLES = 64          # per parity
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
+_WIND_LIFT = 0.05        # lowest top edge of a contour that reaches Im k >= 0
 _WIND_MAX_EVALS = 200_000
 _N_ENERGIES = 100        # real-axis samples of the remainder |G|
 _N_PHASE = 600           # uniform-k samples of the remainder phase check
@@ -76,15 +76,17 @@ class ResonanceDecomposition:
 
 
 def _w_values(k, barrier: Barrier, parity: str):
-    """(W, dW/dk, W_numerator) of parity channel '+' or '-', vectorized."""
-    k, w_half, c, s, w = _w_terms(k, barrier)
+    """(W, dW/dk, W_numerator) of parity '+' or '-' from one kernel pass."""
+    kernels = ("cosh", "sinhc") if parity == "+" else ("cosh", "sinhc", "chi")
+    k, kern, w = _w_terms(k, barrier, parity, kernels)
     Wn, W = w[parity]
+    c, s = kern["cosh"], kern["sinhc"]
     a = barrier.width
     if parity == "+":
         dW = c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c)
     else:
         dW = ((a / 2.0) * s
-              - (a**3 * k * k / 8.0) * chi_w(w_half)
+              - (a**3 * k * k / 8.0) * kern["chi"]
               - 1j * (a * a * k / 4.0) * s)
     return W, dW, Wn
 
@@ -113,6 +115,11 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     (|ratio - 1| = 0.61-840) for the ratio rule to split them. At most
     _WIND_MAX_EVALS points are evaluated.
 
+    If im_hi >= 0 the top edge is walked at max(im_hi, _WIND_LIFT): V >= 0
+    binds no state, so W+- has no zero with Im k > 0, and the lifted edge
+    keeps clear of the resonances that thick barriers put ~2e-5 under the
+    real axis (an edge on Im k = 0 counted 43 for 45 at a = 100).
+
     Raises
     ------
     DomainError
@@ -124,6 +131,8 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     if parity not in ("+", "-"):
         raise DomainError(f"parity must be '+' or '-', got {parity!r}")
     re_lo, re_hi, im_lo, im_hi = _check_rect(rect)
+    if im_hi >= 0.0:
+        im_hi = max(im_hi, _WIND_LIFT)
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
     z = np.concatenate(
@@ -137,7 +146,7 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
         evals += z.size
         if evals > _WIND_MAX_EVALS:
             raise NonConvergenceError("winding walk budget exhausted")
-        w = _w_terms(z, barrier)[4][parity][1]  # the denominator W
+        w = _w_terms(z, barrier, parity)[2][parity][1]  # the denominator W
         if not np.all(w):
             raise NonConvergenceError("winding contour hit a zero")
         return w
@@ -209,19 +218,20 @@ def _harvest(barrier: Barrier, rect, parity: str):
     """Distinct roots of W_parity inside rect, sorted by real part.
 
     Newton starts from a uniform seed grid of step _SEED_STEP. A root is kept
-    when its relative residual |W|/|W_numerator| is below _POLISH_RTOL and it
-    lies inside rect; a candidate within _DEDUP_TOL of an earlier kept one is
-    a duplicate, so the first seed to reach a root represents it.
+    when it lies inside rect and |W|/|W_numerator| < max(_POLISH_RTOL,
+    4 eps |k W'|/|W_numerator|); a candidate within _DEDUP_TOL of an earlier
+    kept one is a duplicate, so the first seed to reach a root represents it.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     res = np.arange(re_lo, re_hi + _SEED_STEP / 2, _SEED_STEP)
     ims = np.arange(im_lo, im_hi + _SEED_STEP / 2, _SEED_STEP)
     k = _newton((res[:, None] + 1j * ims[None, :]).ravel(), barrier, parity)
-    W, _, Wn = _w_values(k, barrier, parity)
-    resid = np.abs(W) / np.maximum(np.abs(Wn), 1e-300)
+    W, dW, Wn = _w_values(k, barrier, parity)
+    abs_wn = np.maximum(np.abs(Wn), 1e-300)
+    cut = np.maximum(_POLISH_RTOL, 4.0 * np.finfo(float).eps * np.abs(k * dW) / abs_wn)
     margin = 1e-9
     keep = (
-        (resid < _POLISH_RTOL)
+        (np.abs(W) / abs_wn < cut)
         & (k.real > re_lo + margin) & (k.real < re_hi - margin)
         & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
         & np.isfinite(k)
@@ -240,14 +250,14 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     Per parity, the Newton harvest (see _newton and _harvest: seed grid of
     step _SEED_STEP, orbits frozen once periodic, duplicates within
     _DEDUP_TOL dropped) is cross-checked against the argument-principle
-    winding count. A root is kept only if its relative residual is below
-    _POLISH_RTOL = 1e-12. Roots of thick barriers can stall just above
-    1e-13 (k ~ 1.001365 - 9.1e-5 i at a = 60 settles at 4.1e-13, the
-    rounding floor of W there, and a 1e-13 cut dropped it), so the cut sits
-    at 1e-12, two orders under the 1e-10 that the pole reports promise. The
-    orbit is no substitute for the residual: converged orbits keep cycling
-    in the last bits, and accepting only orbits settled with period <= 2
-    keeps 23 of 27 (+) and 18 of 27 (-) roots at a = 60.
+    winding count. A root is kept if its relative residual is below
+    _POLISH_RTOL = 1e-12 or the rounding floor 4 eps |k W'|/|W_num| of W.
+    Thick barriers stall at that floor: k ~ 1.000493 - 2.0e-5 i at a = 100
+    settles at 1.9e-12, and the floor there is ~2e-11; at the reference
+    barrier it stays under 1e-12. The orbit is no substitute for the
+    residual: converged orbits keep cycling in the last bits, and accepting
+    only orbits settled with period <= 2 keeps 23 of 27 (+) and 18 of 27 (-)
+    roots at a = 60.
 
     Parameters
     ----------
@@ -261,6 +271,8 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
         For a reversed or empty rectangle, or one containing k = 0.
     CountMismatchError
         If the Newton harvest disagrees with the winding count.
+    NonConvergenceError
+        If a parity has more than _MAX_POLES roots, or from winding_count.
     """
     rect = _check_rect(search_rect)
     re_lo, re_hi, im_lo, im_hi = rect
@@ -276,6 +288,9 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
             raise CountMismatchError(
                 f"parity {parity}: winding count {n_wind} != harvest {len(roots)}"
             )
+        if len(roots) > _MAX_POLES:
+            raise NonConvergenceError(f"parity {parity}: found {len(roots)} "
+                                      f"poles, more than the {_MAX_POLES} allowed")
         for z in roots:
             Wz, _, Wnz = _w_values(z, barrier, parity)
             E = z * z / (2.0 * m)
@@ -289,10 +304,6 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
                 lifetime=(1.0 / gamma if gamma > 0.0 else math.inf),
                 residual=float(abs(Wz) / abs(Wnz)),
             ))
-    if len(out) > _MAX_POLES:
-        raise NonConvergenceError(
-            f"found {len(out)} poles, more than the {_MAX_POLES} allowed"
-        )
     return out
 
 

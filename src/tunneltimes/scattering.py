@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleProximityError, RegimeViolationError
-from .special import cosh_w, sinhc_w
+from .errors import DomainError, PoleProximityError
+from .special import even_kernels
 
 # Relative threshold below which an amplitude denominator counts as a pole hit.
 POLE_RTOL = 1e-14
@@ -80,8 +80,8 @@ class Barrier:
         return cls(height=two_mv / (2.0 * mass), width=width, mass=mass)
 
 
-def _w_terms(k, barrier: Barrier):
-    """Half-width pieces and the W+- numerators and denominators, vectorized.
+def _w_terms(k, barrier: Barrier, parities="+-", kernels=("cosh", "sinhc")):
+    """The W+- numerators and denominators of the given parities, vectorized.
 
     The half-width forms scale numerator and denominator of the plain
     exponential expression by e^{kappa a/2}, and by 1/kappa for the odd
@@ -92,20 +92,24 @@ def _w_terms(k, barrier: Barrier):
         W+ = k c +- i kappa sinh(kappa a/2),   W- = k (a/2) s +- i c,
 
     the + sign giving the denominators. k may be real or complex, scalar or
-    array. Returns (k, w_half, c, s, w) with w_half = (kappa a/2)^2 and
-    w = {"+": (num+, den+), "-": (num-, den-)}.
+    array. Returns (k, kern, w): kern maps each name in kernels, which must
+    include 'cosh' and 'sinhc', to that even kernel of (kappa a/2)^2 (one
+    special.even_kernels pass), and w = {parity: (num, den)}.
     """
     k = np.asarray(k, dtype=complex)
     a = barrier.width
     u = barrier.l0_sq - k * k            # kappa^2
-    w_half = u * a * a / 4.0             # (kappa a / 2)^2
-    c = cosh_w(w_half)
-    s = sinhc_w(w_half)
-    ks = u * (a / 2.0) * s               # kappa * sinh(kappa a / 2)
-    return k, w_half, c, s, {
-        "+": (k * c - 1j * ks, k * c + 1j * ks),
-        "-": (k * (a / 2.0) * s - 1j * c, k * (a / 2.0) * s + 1j * c),
-    }
+    kern = even_kernels(u * a * a / 4.0, kernels)
+    c, s = kern["cosh"], kern["sinhc"]
+    w = {}
+    if "+" in parities:
+        kc = k * c
+        ks = u * (a / 2.0) * s           # kappa * sinh(kappa a / 2)
+        w["+"] = (kc - 1j * ks, kc + 1j * ks)
+    if "-" in parities:
+        kas = k * (a / 2.0) * s
+        w["-"] = (kas - 1j * c, kas + 1j * c)
+    return k, kern, w
 
 
 def amplitude_grid(k, barrier: Barrier):
@@ -122,7 +126,7 @@ def amplitude_grid(k, barrier: Barrier):
         If the relative magnitude of an amplitude denominator falls below
         POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
     """
-    k, _, _, _, w = _w_terms(k, barrier)
+    k, _, w = _w_terms(k, barrier)
     for num, den in w.values():
         bad = np.abs(den) < POLE_RTOL * np.abs(num)
         if np.any(bad):
@@ -138,34 +142,3 @@ def amplitude_grid(k, barrier: Barrier):
     R = (F_p + F_m) / (2.0 * phase)
     T = (F_p - F_m) / (2.0 * phase)
     return F_p, F_m, R, T
-
-
-def small_a_amplitudes(k, barrier: Barrier):
-    """Thin-barrier approximations to (F+, F-), valid for sqrt(mV)*a << 1.
-
-    F+ ~ e^{-ika} (k - i(mV - k^2/2)a) / (k + i(mV - k^2/2)a)
-    F- ~ e^{-ika} (a k - 2i) / (a k + 2i)
-
-    These keep the leading term of exp(-kappa*a) ~ 1 - kappa*a in each parity
-    channel. The F+ form retains its near-origin pole at k ~ i m V a, which is
-    what makes the k -> 0 and a -> 0 limits non-interchangeable, while the F-
-    limits commute.
-
-    Raises
-    ------
-    RegimeViolationError
-        If sqrt(m V) * a >= 0.1.
-    """
-    m, V, a = barrier.mass, barrier.height, barrier.width
-    if math.sqrt(m * V) * a >= 0.1:
-        raise RegimeViolationError(
-            f"sqrt(mV)*a = {math.sqrt(m * V) * a:.3g} is not << 1"
-        )
-    k = np.asarray(k, dtype=complex)
-    phase = np.exp(-1j * k * a)
-    g = (m * V - 0.5 * k * k) * a
-    F_p = phase * (k - 1j * g) / (k + 1j * g)
-    F_m = phase * (a * k - 2j) / (a * k + 2j)
-    if F_p.ndim == 0:
-        return complex(F_p), complex(F_m)
-    return F_p, F_m

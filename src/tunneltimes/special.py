@@ -11,58 +11,71 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL = 0.0625
+_SERIES = {  # Taylor coefficients in w, lowest order first
+    "cosh": (1.0, 1 / 2.0, 1 / 24.0, 1 / 720.0, 1 / 40320.0, 1 / 3628800.0),
+    "sinhc": (1.0, 1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0),
+    "psi": (1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0),
+    "chi": (1 / 3.0, 1 / 30.0, 1 / 840.0, 1 / 45360.0, 1 / 3991680.0,
+            12 / 6227020800.0),
+}
 
 
-def _eval(w, series_coeffs, closed):
+def _closed(w, names):
+    sq = np.sqrt(w)
+    ch = np.cosh(sq) if {"cosh", "chi"} & set(names) else None
+    sc = np.sinh(sq) / sq if {"sinhc", "psi", "chi"} & set(names) else None
+    out = {"cosh": ch, "sinhc": sc}
+    if "psi" in names:
+        out["psi"] = (sc - 1.0) / w
+    if "chi" in names:
+        out["chi"] = (ch - sc) / w
+    return [out[name] for name in names]
+
+
+def even_kernels(w, names) -> dict:
+    """The kernels in the sequence names ('cosh', 'sinhc', 'psi', 'chi') at w.
+
+    One small-|w| mask picks the series branch for all of them; the closed
+    branch shares sqrt(w), cosh and sinh(sqrt(w))/sqrt(w), and runs on w
+    itself, with no gather or scatter, when no point is small. Real w gives
+    real kernels, and 0-d w gives scalars.
+    """
     w = np.asarray(w)
-    scalar = w.ndim == 0
-    wc = np.atleast_1d(w).astype(complex)
-    out = np.empty_like(wc)
+    wc = np.atleast_1d(w).astype(complex, copy=False)
     small = np.abs(wc) < _SMALL
-    if np.any(small):
+    if not small.any():
+        outs = _closed(wc, names)
+    else:
+        outs = [np.empty_like(wc) for _ in names]
         ws = wc[small]
-        acc = np.zeros_like(ws)
-        for c in reversed(series_coeffs):
-            acc = acc * ws + c
-        out[small] = acc
-    if np.any(~small):
-        out[~small] = closed(wc[~small])
+        for out, name in zip(outs, names):
+            acc = np.zeros_like(ws)
+            for c in reversed(_SERIES[name]):
+                acc = acc * ws + c
+            out[small] = acc
+        if not small.all():
+            for out, value in zip(outs, _closed(wc[~small], names)):
+                out[~small] = value
     if np.isrealobj(w):
-        out = out.real
-    return out[0] if scalar else out
+        outs = [out.real for out in outs]
+    return dict(zip(names, [out[0] for out in outs] if w.ndim == 0 else outs))
 
 
 def sinhc_w(w):
     """sinh(z)/z as a function of w = z**2 (equals sin(y)/y for w = -y**2)."""
-    return _eval(
-        w,
-        [1.0, 1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0],
-        lambda ws: np.sinh(np.sqrt(ws)) / np.sqrt(ws),
-    )
+    return even_kernels(w, ("sinhc",))["sinhc"]
 
 
 def cosh_w(w):
     """cosh(z) as a function of w = z**2."""
-    return _eval(
-        w,
-        [1.0, 1 / 2.0, 1 / 24.0, 1 / 720.0, 1 / 40320.0, 1 / 3628800.0],
-        lambda ws: np.cosh(np.sqrt(ws)),
-    )
+    return even_kernels(w, ("cosh",))["cosh"]
 
 
 def psi_w(w):
     """(sinh(z)/z - 1)/z**2 as a function of w = z**2; psi_w(0) = 1/6."""
-    return _eval(
-        w,
-        [1 / 6.0, 1 / 120.0, 1 / 5040.0, 1 / 362880.0, 1 / 39916800.0],
-        lambda ws: (np.sinh(np.sqrt(ws)) / np.sqrt(ws) - 1.0) / ws,
-    )
+    return even_kernels(w, ("psi",))["psi"]
 
 
 def chi_w(w):
     """(cosh(z) - sinh(z)/z)/z**2 as a function of w = z**2; chi_w(0) = 1/3."""
-    return _eval(
-        w,
-        [1 / 3.0, 1 / 30.0, 1 / 840.0, 1 / 45360.0, 1 / 3991680.0, 12 / 6227020800.0],
-        lambda ws: (np.cosh(np.sqrt(ws)) - np.sinh(np.sqrt(ws)) / np.sqrt(ws)) / ws,
-    )
+    return even_kernels(w, ("chi",))["chi"]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,36 @@ class TestResonancesCmd:
         assert len(report["poles"]) == 54
         assert report["remainder_check"]["ok"]
         assert all(p["residual"] < 1e-10 for p in report["poles"])
+
+    @pytest.mark.parametrize("flags, n_poles", [
+        (["--a", "100"], 90),
+        (["--two-m-v", "4", "--a", "60"], 42),
+        (["--a", "60", "--re-max", "6"], 112),
+    ])
+    def test_thicker_and_taller_barriers_answer(self, tmp_path, flags, n_poles):
+        # floor(a sqrt(re_max^2 - 2mV) / pi) over-barrier poles; each used
+        # to end in a count mismatch (winding 43 / 21 / 54 against a harvest
+        # of 44 / 20 / 56), and 112 poles exceed the old two-parity cap of 64
+        out = tmp_path / "res.json"
+        assert main(["resonances", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["poles"]) == n_poles
+        assert report["remainder_check"]["ok"]
+        assert all(p["residual"] < 1e-10 for p in report["poles"])
+
+    def test_very_thick_barrier_answers_or_names_both_counts(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "res.json"
+        code = main(["resonances", "--a", "200", "--out", str(out)])
+        if code == 0:
+            report = json.loads(out.read_text())
+            assert report["remainder_check"]["ok"]
+            assert all(p["residual"] < 1e-10 for p in report["poles"])
+        else:
+            assert code == 4
+            assert re.search(r"winding count \d+ != harvest \d+",
+                             capsys.readouterr().err)
+            assert not out.exists()
 
 
 class TestPropagate:

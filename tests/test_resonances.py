@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tunneltimes import resonances
+from tunneltimes import resonances, scattering, special
 from tunneltimes.errors import DomainError
 from tunneltimes.phasetime import phase_time, phase_time_fd
 from tunneltimes.resonances import (
@@ -117,6 +117,17 @@ class TestFindPoles:
             if 1.0 <= kr <= 1.3 and p.Gamma < 0.2:
                 assert np.min(np.abs(peak_ks - kr)) < abs(p.k_pole.imag)
 
+    @pytest.mark.parametrize("two_mv, a", [(1.0, 100.0), (4.0, 60.0)])
+    def test_lifted_contour_counts_near_real_resonances(self, two_mv, a):
+        # resonances ~2e-5 under the real axis: a top edge on Im k = 0
+        # counted 43 / 44 at a = 100 and 21 (+) at 2mV = 4; the walk lifts
+        # it to Im k = 0.05, above which V >= 0 leaves no zero of W
+        b = Barrier.from_two_mv(two_mv, a)
+        count = math.floor(a * math.sqrt(9.0 - two_mv) / math.pi) // 2
+        for parity in ("+", "-"):
+            assert winding_count(b, (0.5, 3.0, -1.0, 0.0), parity) == count
+            assert winding_count(b, (0.5, 3.0, -1.0, 0.05), parity) == count
+
     def test_tall_barrier_lowest_resonance(self):
         # lowest over-barrier resonance of a tall barrier sits near
         # V + (pi/a)^2/(2m) (standard single-mode estimate)
@@ -212,6 +223,33 @@ class TestMaskedNewton:
         n_seeds = _seed_grid(rect).size
         for parity in ("+", "-"):
             assert points[parity] <= 0.4 * resonances._NEWTON_STEPS * n_seeds
+
+    def test_one_kernel_pass_per_point_evaluation(self, barrier, monkeypatch):
+        # each _w_values call makes exactly one even-kernel pass; the other
+        # passes belong to the winding walk, one per bisection level
+        counts = {"w_values": 0, "inside": 0, "outside": 0}
+        inside = []
+        even_kernels = scattering.even_kernels
+        w_values = resonances._w_values
+
+        def counting_kernels(w, names):
+            counts["inside" if inside else "outside"] += 1
+            return even_kernels(w, names)
+
+        def counting_values(k, b, parity):
+            counts["w_values"] += 1
+            inside.append(parity)
+            try:
+                return w_values(k, b, parity)
+            finally:
+                inside.pop()
+
+        for module in (scattering, special):  # special's views call it too
+            monkeypatch.setattr(module, "even_kernels", counting_kernels)
+        monkeypatch.setattr(resonances, "_w_values", counting_values)
+        find_poles(barrier, (0.5, 3.0, -1.0, 0.0))
+        assert counts["inside"] == counts["w_values"] > 0
+        assert counts["outside"] > 0
 
 
 class TestReconstruction:
