@@ -23,7 +23,6 @@ from .errors import (
     InsufficientFluxError,
     NonConvergenceError,
     PoleProximityError,
-    RegimeViolationError,
     ValidityWarning,
 )
 from .phasetime import k_tau_limit, phase_time, phase_time_fd

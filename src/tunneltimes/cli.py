@@ -29,7 +29,6 @@ from .errors import (
     InsufficientFluxError,
     NonConvergenceError,
     PoleProximityError,
-    RegimeViolationError,
     ValidityWarning,
 )
 from .phasetime import phase_time, phase_time_grid
@@ -47,7 +46,6 @@ from .wavepacket import Packet
 _PHYSICS_ERRORS = (
     DomainError,
     PoleProximityError,
-    RegimeViolationError,
     NonConvergenceError,
     ImaginaryResidueError,
     GridTooSmallError,

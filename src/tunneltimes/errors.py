@@ -9,10 +9,6 @@ class PoleProximityError(ArithmeticError):
     """A scattering amplitude was evaluated at or numerically on top of a pole."""
 
 
-class RegimeViolationError(ValueError):
-    """A limiting-regime approximation was requested outside its smallness gate."""
-
-
 class NonConvergenceError(RuntimeError):
     """An adaptive numerical scheme exhausted its budget before reaching tolerance."""
 

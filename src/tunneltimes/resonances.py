@@ -32,10 +32,9 @@ from .phasetime import _phase_slope
 from .scattering import Barrier, _w_terms, amplitude_grid
 
 _NEWTON_STEPS = 60
-_ORBIT_MEMORY = 8        # longest Newton orbit period that freezes a seed
 _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
-_SEED_STEP = 0.05        # spacing of the Newton seed grid
+_SEED_DEPTHS = (-1e-3, -0.03, -0.2)  # Im k of the Newton seeds per pole index
 _MAX_POLES = 64          # per parity
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
 _WIND_LIFT = 0.05        # lowest top edge of a contour that reaches Im k >= 0
@@ -171,71 +170,66 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     return int(np.rint(n))
 
 
-def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
-    """Each seed after _NEWTON_STEPS damped Newton steps on W_parity.
+def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
+    """Newton seeds +-k_n + i depth for each of _SEED_DEPTHS, n-major.
 
-    The map k -> k - step(k) is applied only to seeds whose orbit still
-    moves. A seed freezes once its orbit is periodic, k_t == k_{t-p} for a
-    period p <= _ORBIT_MEMORY (a fixed point is p = 1). Its later orbit then
-    cycles through the stored k_{t-p} .. k_{t-1}, so it gets the value that
-    the last step would give it, picked by the steps left modulo p; the
-    result equals the plain fixed-count loop element for element. Converged
-    orbits do cycle in the last bits: at the defaults 345 of the 1,071 (-)
-    seeds cycle with periods 3 to 8, so freezing only fixed points and
-    2-cycles would leave them running all the steps.
+    Above-barrier poles sit near k_n = sqrt(2mV + (n pi/a)^2), and their
+    mirrors near -k_n (zeros of W+- pair as k, -conj(k)). The seeds cover
+    every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on each
+    side. A zero-width barrier gets none: W+- has no zeros then.
     """
-    mem = _ORBIT_MEMORY
-    hist = np.full((mem, seeds.size), np.nan, dtype=complex)  # k_t in row t % mem
-    hist[0] = seeds
-    k = np.empty_like(seeds)
-    live = np.arange(seeds.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(1, _NEWTON_STEPS + 1):
-            past = hist[:, live]          # k_{t-mem} .. k_{t-1}, NaN before k_0
-            kl = past[(t - 1) % mem]
-            W, dW, _ = _w_values(kl, barrier, parity)
-            step = W / dW
-            step = np.where(np.abs(step) > 0.2,
-                            0.2 * step / np.abs(step), step)
-            kn = kl - step
-            hist[t % mem, live] = kn
-            match = past == kn
-            frozen = match.any(axis=0)
-            if frozen.any():
-                # row r holds k_{t-p}, p = (t - 1 - r) % mem + 1; the orbit
-                # repeats with period p, so k at the end is k_{t-p+left%p}
-                p = (t - 1 - match[:, frozen].argmax(axis=0)) % mem + 1
-                idx = live[frozen]
-                k[idx] = hist[(t - p + (_NEWTON_STEPS - t) % p) % mem, idx]
-                live = live[~frozen]
-                if not live.size:
-                    break
-    k[live] = hist[_NEWTON_STEPS % mem, live]
+    a = barrier.width
+    if a == 0.0:
+        return np.empty(0, dtype=complex)
+    two_mv = 2.0 * barrier.mass * barrier.height
+    seeds = []
+    for sign, lo, hi in ((1.0, rect[0], rect[1]), (-1.0, -rect[1], -rect[0])):
+        if hi <= 0.0:
+            continue
+        n_lo, n_hi = (a * math.sqrt(max(max(k, 0.0) ** 2 - two_mv, 0.0)) / math.pi
+                      for k in (lo, hi))
+        n = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2)
+        k_n = sign * np.sqrt(two_mv + (n * math.pi / a) ** 2)
+        seeds.append((k_n[:, None] + 1j * np.array(_SEED_DEPTHS)).ravel())
+    return np.concatenate(seeds)
+
+
+def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
+    """Each seed after _NEWTON_STEPS damped Newton steps on W_parity."""
+    k = seeds
+    for _ in range(_NEWTON_STEPS):
+        W, dW, _ = _w_values(k, barrier, parity)
+        step = W / dW
+        step = np.where(np.abs(step) > 0.2, 0.2 * step / np.abs(step), step)
+        k = k - step
     return k
 
 
 def _harvest(barrier: Barrier, rect, parity: str):
     """Distinct roots of W_parity inside rect, sorted by real part.
 
-    Newton starts from a uniform seed grid of step _SEED_STEP. A root is kept
+    Newton starts from the pole-index seeds of _index_seeds. A root is kept
     when it lies inside rect and |W|/|W_numerator| < max(_POLISH_RTOL,
     4 eps |k W'|/|W_numerator|); a candidate within _DEDUP_TOL of an earlier
     kept one is a duplicate, so the first seed to reach a root represents it.
+    The closing evaluation shares the Newton loop's errstate: a seed with no
+    root nearby (a free barrier has none) may overflow or turn NaN, and then
+    fails the finiteness test without a warning.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    res = np.arange(re_lo, re_hi + _SEED_STEP / 2, _SEED_STEP)
-    ims = np.arange(im_lo, im_hi + _SEED_STEP / 2, _SEED_STEP)
-    k = _newton((res[:, None] + 1j * ims[None, :]).ravel(), barrier, parity)
-    W, dW, Wn = _w_values(k, barrier, parity)
-    abs_wn = np.maximum(np.abs(Wn), 1e-300)
-    cut = np.maximum(_POLISH_RTOL, 4.0 * np.finfo(float).eps * np.abs(k * dW) / abs_wn)
-    margin = 1e-9
-    keep = (
-        (np.abs(W) / abs_wn < cut)
-        & (k.real > re_lo + margin) & (k.real < re_hi - margin)
-        & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
-        & np.isfinite(k)
-    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = _newton(_index_seeds(barrier, rect), barrier, parity)
+        W, dW, Wn = _w_values(k, barrier, parity)
+        abs_wn = np.maximum(np.abs(Wn), 1e-300)
+        cut = np.maximum(_POLISH_RTOL,
+                         4.0 * np.finfo(float).eps * np.abs(k * dW) / abs_wn)
+        margin = 1e-9
+        keep = (
+            (np.abs(W) / abs_wn < cut)
+            & (k.real > re_lo + margin) & (k.real < re_hi - margin)
+            & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
+            & np.isfinite(k)
+        )
     cand = k[keep]
     roots = []
     while cand.size:
@@ -247,17 +241,15 @@ def _harvest(barrier: Barrier, rect, parity: str):
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    Per parity, the Newton harvest (see _newton and _harvest: seed grid of
-    step _SEED_STEP, orbits frozen once periodic, duplicates within
-    _DEDUP_TOL dropped) is cross-checked against the argument-principle
-    winding count. A root is kept if its relative residual is below
-    _POLISH_RTOL = 1e-12 or the rounding floor 4 eps |k W'|/|W_num| of W.
-    Thick barriers stall at that floor: k ~ 1.000493 - 2.0e-5 i at a = 100
-    settles at 1.9e-12, and the floor there is ~2e-11; at the reference
-    barrier it stays under 1e-12. The orbit is no substitute for the
-    residual: converged orbits keep cycling in the last bits, and accepting
-    only orbits settled with period <= 2 keeps 23 of 27 (+) and 18 of 27 (-)
-    roots at a = 60.
+    Per parity, the Newton harvest (see _harvest: three seeds below each
+    pole-index estimate k_n = sqrt(2mV + (n pi/a)^2), _NEWTON_STEPS damped
+    steps, duplicates within _DEDUP_TOL dropped) is cross-checked against
+    the argument-principle winding count, so a pole the seeds miss is a
+    CountMismatchError, not a short list. A root is kept if its relative
+    residual is below _POLISH_RTOL = 1e-12 or the rounding floor
+    4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor:
+    k ~ 1.000493 - 2.0e-5 i at a = 100 settles at 1.9e-12, and the floor
+    there is ~2e-11; at the reference barrier it stays under 1e-12.
 
     Parameters
     ----------

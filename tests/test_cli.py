@@ -441,6 +441,16 @@ class TestResonancesCmd:
         assert report["remainder_check"]["ok"]
         assert all(p["residual"] < 1e-10 for p in report["poles"])
 
+    @pytest.mark.parametrize("flags", [["--two-m-v", "0"], ["--a", "0"]])
+    def test_no_barrier_reports_no_poles_quietly(self, tmp_path, capsys,
+                                                 flags):
+        out = tmp_path / "res.json"
+        assert main(["resonances", *flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["poles"] == []
+        assert report["remainder_check"]["ok"]
+
     def test_very_thick_barrier_answers_or_names_both_counts(self, tmp_path,
                                                              capsys):
         out = tmp_path / "res.json"

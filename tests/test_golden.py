@@ -42,7 +42,7 @@ def test_free_barrier_sweep_regenerates_identically(tmp_path):
 
 
 def test_resonances_report_regenerates_identically(tmp_path):
-    # pins the pole search's seed grid, winding walk and remainder sampling
+    # pins the pole search's index seeds, winding walk and remainder sampling
     out = tmp_path / "resonances.json"
     assert main(["resonances", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "resonances.json").read_bytes()
