@@ -36,6 +36,7 @@ _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
 _SEED_DEPTHS = (-1e-3, -0.03, -0.2)  # Im k of the Newton seeds per pole index
 _MAX_POLES = 64          # per parity
+_MAX_INDICES = 4 * _MAX_POLES  # pole indices n spanned by the seeds
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
 _WIND_LIFT = 0.05        # lowest top edge of a contour that reaches Im k >= 0
 _WIND_MAX_EVALS = 200_000
@@ -177,17 +178,28 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     mirrors near -k_n (zeros of W+- pair as k, -conj(k)). The seeds cover
     every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on each
     side. A zero-width barrier gets none: W+- has no zeros then.
+
+    A parity holds about one pole per two indices, so more than
+    _MAX_INDICES indices means more poles than _MAX_POLES; that raises
+    NonConvergenceError before any seed is formed, as the index count
+    grows with a and would otherwise size the Newton arrays.
     """
     a = barrier.width
     if a == 0.0:
         return np.empty(0, dtype=complex)
     two_mv = 2.0 * barrier.mass * barrier.height
-    seeds = []
+    spans = []
     for sign, lo, hi in ((1.0, rect[0], rect[1]), (-1.0, -rect[1], -rect[0])):
-        if hi <= 0.0:
-            continue
-        n_lo, n_hi = (a * math.sqrt(max(max(k, 0.0) ** 2 - two_mv, 0.0)) / math.pi
-                      for k in (lo, hi))
+        if hi > 0.0:  # k * k overflows to inf where k ** 2 would raise
+            spans.append((sign, *(a * math.sqrt(max(k * k - two_mv, 0.0)) / math.pi
+                                  for k in (max(lo, 0.0), hi))))
+    n_indices = sum(n_hi - n_lo for _, n_lo, n_hi in spans)
+    if not n_indices <= _MAX_INDICES:
+        raise NonConvergenceError(
+            f"pole search: {n_indices:.3g} pole indices in the rectangle, "
+            f"more than the {_MAX_INDICES} allowed ({_MAX_POLES} poles per parity)")
+    seeds = []
+    for sign, n_lo, n_hi in spans:
         n = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2)
         k_n = sign * np.sqrt(two_mv + (n * math.pi / a) ** 2)
         seeds.append((k_n[:, None] + 1j * np.array(_SEED_DEPTHS)).ravel())

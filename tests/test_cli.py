@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,22 @@ class TestResonancesCmd:
         report = json.loads(out.read_text())
         assert report["poles"] == []
         assert report["remainder_check"]["ok"]
+
+    @pytest.mark.parametrize("flags", [["--a", "1e9"], ["--a", "1e300"],
+                                       ["--a", "1.7e308"], ["--re-max", "1e200"]])
+    def test_too_many_pole_indices_fail_fast(self, tmp_path, capsys, flags):
+        # the pole-index count is checked before any seed array exists
+        out = tmp_path / "res.json"
+        tracemalloc.start()
+        try:
+            code = main(["resonances", *flags, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "pole indices" in capsys.readouterr().err
+        assert peak < 10_000_000
+        assert not out.exists()
 
     def test_very_thick_barrier_answers_or_names_both_counts(self, tmp_path,
                                                              capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tunneltimes import resonances, scattering, special
-from tunneltimes.errors import DomainError
+from tunneltimes.errors import DomainError, NonConvergenceError
 from tunneltimes.phasetime import phase_time, phase_time_fd
 from tunneltimes.resonances import (
     ResonanceDecomposition,
@@ -135,6 +135,18 @@ class TestFindPoles:
         # W+- has no zeros here; the seeds' orbits diverge, and evaluating
         # them must not leak a RuntimeWarning (an error in this suite)
         assert find_poles(b, (0.5, 3.0, -1.0, 0.0)) == []
+
+    @pytest.mark.parametrize("a", [300.0, 1e9, 1e300, 1.7e308])
+    def test_too_many_pole_indices_fail_before_newton(self, a, monkeypatch):
+        # the index count grows with a; past 4 x _MAX_POLES it is refused
+        # before any seed array is formed or W is evaluated
+        def no_evaluation(*args):
+            raise AssertionError("W evaluated")
+
+        monkeypatch.setattr(resonances, "_w_values", no_evaluation)
+        monkeypatch.setattr(resonances, "_w_terms", no_evaluation)
+        with pytest.raises(NonConvergenceError, match="pole indices"):
+            find_poles(Barrier.from_two_mv(1.0, a), (0.5, 3.0, -1.0, 0.0))
 
     def test_tall_barrier_lowest_resonance(self):
         # lowest over-barrier resonance of a tall barrier sits near
