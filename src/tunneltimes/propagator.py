@@ -6,7 +6,9 @@ that conserves the discrete norm to rounding, stepped on one LAPACK
 tridiagonal LU factorization per run. The barrier run and a V = 0 reference
 run share the grid, and the measurable delay is the difference of
 flux-weighted mean arrival times of the probability current at a detector
-placed past the barrier.
+placed past the barrier. The two runs step concurrently, one per thread (the
+LAPACK solves release the GIL), and their records are bit-identical to
+stepping them one after the other.
 
 The truncated packet has slow 1/q momentum tails, so the transmitted signal
 in the deep-tunneling regime is carried mostly by the above-barrier tail
@@ -19,6 +21,7 @@ window.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +146,17 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
     psi = init_state(packet, barrier, spec)
     idx = int(round((detector_x - spec.x_min) / spec.dx)) - 1
     psi, s = _stepper(psi, spec, barrier, n_steps, slice(idx - 1, idx + 2))
-    grad = (s[:, 2] - s[:, 0]) / (2.0 * spec.dx)
-    j = np.imag(np.conj(s[:, 1]) * grad) / barrier.mass
-    j = np.where(j > 0.0, j, 0.0)  # transmitted (outgoing) component only
+    # J = Im(conj(psi) dpsi/dx) / m, formed in place, with the samples freed
+    # before the next temporary. conj(psi) stays the first factor: numpy's
+    # SIMD complex product fuses a different partial product when the
+    # operands swap, which moves last bits.
+    flux = np.subtract(s[:, 2], s[:, 0])
+    flux /= 2.0 * spec.dx
+    np.multiply(np.conj(s[:, 1]), flux, out=flux)
+    del s
+    j = flux.imag / barrier.mass
+    del flux
+    j[~(j > 0.0)] = 0.0  # transmitted (outgoing) component only
     flux_sum = float(np.sum(j))
     frac = flux_sum * spec.dt
     if frac < 1e-6:
@@ -194,19 +205,43 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
     Both runs share the grid and window, which each record names. Only a
     missing spec or n_steps calls suggest_grid: a missing spec is its grid,
     a missing n_steps spans its window at spec.dt.
+    The free run steps on a worker thread while the calling thread steps the
+    barrier run, and each record is bit-identical to a serial measure_arrival
+    call. A signal interrupts the barrier run within one step, but the worker
+    is joined before this returns or raises, so the free run finishes first.
     Returns (delay, barrier_record, free_record).
 
     Raises
     ------
     InsufficientFluxError
-        If the transmitted fraction of the barrier run is below 1e-6.
+        If the transmitted fraction of the barrier run, or else of the free
+        run, is below 1e-6. An exception of the barrier run wins over one of
+        the free run.
     """
     if spec is None or n_steps is None:
         auto_spec, auto_steps = suggest_grid(packet, barrier, detector_x)
         spec = auto_spec if spec is None else spec
         if n_steps is None:
             n_steps = round(auto_steps * auto_spec.dt / spec.dt)
-    rec_barrier = measure_arrival(packet, barrier, spec, detector_x, n_steps)
     free = Barrier(0.0, barrier.width, barrier.mass)
-    rec_free = measure_arrival(packet, free, spec, detector_x, n_steps)
+    free_out = []
+
+    def run_free():
+        # Any exception is handed to the caller, never to threading.excepthook.
+        try:
+            free_out.append(measure_arrival(packet, free, spec, detector_x,
+                                            n_steps))
+        except BaseException as exc:
+            free_out.append(exc)
+
+    # daemon: a join cut short by a second interrupt must not block exit
+    worker = threading.Thread(target=run_free, name="free-run", daemon=True)
+    worker.start()
+    try:
+        rec_barrier = measure_arrival(packet, barrier, spec, detector_x, n_steps)
+    finally:
+        worker.join()
+    rec_free = free_out.pop()
+    if isinstance(rec_free, BaseException):
+        raise rec_free
     return rec_barrier.mean_arrival - rec_free.mean_arrival, rec_barrier, rec_free

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,3 +220,78 @@ class TestEmpiricalDelay:
         d1, _, _ = empirical_delay(packet, barrier, 30.0, spec, n)
         d2, _, _ = empirical_delay(packet, barrier, 30.0, fine, 4 * n)
         assert abs(d2 - d1) <= 0.05 * abs(d1)
+
+
+class TestConcurrentRuns:
+    """The free run steps on a worker thread, the barrier run on the caller's."""
+
+    @pytest.fixture
+    def thread_errors(self, monkeypatch):
+        # exceptions that escape a thread; empirical_delay must hand its
+        # worker's exception to the caller instead
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        return seen
+
+    def test_records_equal_serial_runs(self, barrier):
+        packet = Packet(1.0, 30.0)
+        delay, rec, free = empirical_delay(packet, barrier, 25.0, SMALL, 9000)
+        serial = measure_arrival(packet, barrier, SMALL, 25.0, 9000)
+        serial_free = measure_arrival(packet, Barrier(0.0, 15.0, 1.0), SMALL,
+                                      25.0, 9000)
+        assert rec == serial
+        assert free == serial_free
+        assert delay == serial.mean_arrival - serial_free.mean_arrival
+
+    def test_runs_overlap_on_two_threads(self, barrier, monkeypatch):
+        # both fakes must reach the rendezvous, which a serial caller never does
+        meet = threading.Barrier(2, timeout=10.0)
+        ran_on = {}
+
+        def fake(packet, barrier, spec, detector_x, n_steps):
+            meet.wait()
+            ran_on[barrier.height] = threading.current_thread()
+            return ArrivalRecord(detector_x, barrier.height, 1.0, 0.0, 0.0,
+                                 spec, n_steps)
+
+        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        delay, _, _ = empirical_delay(Packet(1.0, 30.0), barrier, 25.0,
+                                      SMALL, 10)
+        assert delay == barrier.height
+        assert ran_on[barrier.height] is threading.current_thread()
+        assert ran_on[0.0] is not threading.current_thread()
+
+    def test_barrier_error_wins_when_both_runs_fail(self, barrier, monkeypatch,
+                                                    thread_errors):
+        # the free run is still stepping when the barrier run raises: the
+        # caller waits for it and still sees the barrier run's error
+        barrier_failed = threading.Event()
+
+        def fake(packet, barrier, spec, detector_x, n_steps):
+            if barrier.height == 0.0:
+                assert barrier_failed.wait(10.0)
+                time.sleep(0.2)
+                raise InsufficientFluxError("free run starved")
+            barrier_failed.set()
+            raise InsufficientFluxError("barrier run starved")
+
+        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        before = threading.active_count()
+        with pytest.raises(InsufficientFluxError, match="barrier run starved"):
+            empirical_delay(Packet(1.0, 30.0), barrier, 60.0, SMALL, 20)
+        assert threading.active_count() == before
+        assert thread_errors == []
+
+    def test_free_run_error_reaches_caller(self, barrier, monkeypatch,
+                                           thread_errors):
+        def fake(packet, barrier, spec, detector_x, n_steps):
+            if barrier.height == 0.0:
+                raise InsufficientFluxError("free run starved")
+            return ArrivalRecord(detector_x, 1.0, 1.0, 0.0, 0.0, spec, n_steps)
+
+        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        before = threading.active_count()
+        with pytest.raises(InsufficientFluxError, match="free run starved"):
+            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 20)
+        assert threading.active_count() == before
+        assert thread_errors == []
