@@ -223,7 +223,11 @@ class TestEmpiricalDelay:
 
 
 class TestConcurrentRuns:
-    """The free run steps on a worker thread, the barrier run on the caller's."""
+    """The free run steps on a worker thread, the barrier run on the caller's.
+
+    The faults are injected into _stepper, since a replaced measure_arrival
+    is run serially.
+    """
 
     @pytest.fixture
     def thread_errors(self, monkeypatch):
@@ -244,30 +248,28 @@ class TestConcurrentRuns:
         assert delay == serial.mean_arrival - serial_free.mean_arrival
 
     def test_runs_overlap_on_two_threads(self, barrier, monkeypatch):
-        # both fakes must reach the rendezvous, which a serial caller never does
+        # both runs must reach the rendezvous, which a serial caller never does
         meet = threading.Barrier(2, timeout=10.0)
         ran_on = {}
+        step = propagator._stepper
 
-        def fake(packet, barrier, spec, detector_x, n_steps):
+        def meeting(psi, spec, barrier, *args):
             meet.wait()
             ran_on[barrier.height] = threading.current_thread()
-            return ArrivalRecord(detector_x, barrier.height, 1.0, 0.0, 0.0,
-                                 spec, n_steps)
+            return step(psi, spec, barrier, *args)
 
-        monkeypatch.setattr(propagator, "measure_arrival", fake)
-        delay, _, _ = empirical_delay(Packet(1.0, 30.0), barrier, 25.0,
-                                      SMALL, 10)
-        assert delay == barrier.height
+        monkeypatch.setattr(propagator, "_stepper", meeting)
+        empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 9000)
         assert ran_on[barrier.height] is threading.current_thread()
         assert ran_on[0.0] is not threading.current_thread()
 
     def test_barrier_error_wins_when_both_runs_fail(self, barrier, monkeypatch,
                                                     thread_errors):
-        # the free run is still stepping when the barrier run raises: the
-        # caller waits for it and still sees the barrier run's error
+        # the free run raises after the barrier run: the caller waits for it
+        # and still sees the barrier run's error
         barrier_failed = threading.Event()
 
-        def fake(packet, barrier, spec, detector_x, n_steps):
+        def failing(psi, spec, barrier, *args):
             if barrier.height == 0.0:
                 assert barrier_failed.wait(10.0)
                 time.sleep(0.2)
@@ -275,23 +277,79 @@ class TestConcurrentRuns:
             barrier_failed.set()
             raise InsufficientFluxError("barrier run starved")
 
-        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        monkeypatch.setattr(propagator, "_stepper", failing)
         before = threading.active_count()
         with pytest.raises(InsufficientFluxError, match="barrier run starved"):
             empirical_delay(Packet(1.0, 30.0), barrier, 60.0, SMALL, 20)
         assert threading.active_count() == before
         assert thread_errors == []
 
-    def test_free_run_error_reaches_caller(self, barrier, monkeypatch,
-                                           thread_errors):
-        def fake(packet, barrier, spec, detector_x, n_steps):
-            if barrier.height == 0.0:
-                raise InsufficientFluxError("free run starved")
-            return ArrivalRecord(detector_x, 1.0, 1.0, 0.0, 0.0, spec, n_steps)
+    def test_barrier_error_stops_the_free_run(self, barrier, monkeypatch,
+                                              thread_errors):
+        # 200,000 steps of the free run take ~16 s; once the barrier run
+        # raises, the free run must end within a step, not finish its window
+        free_stepping = threading.Event()
+        free_ended = []
+        step = propagator._stepper
 
-        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        def stepping(psi, spec, barrier, *args):
+            if barrier.height != 0.0:
+                assert free_stepping.wait(10.0)
+                time.sleep(0.1)
+                raise KeyboardInterrupt
+            free_stepping.set()
+            try:
+                return step(psi, spec, barrier, *args)
+            except BaseException as exc:
+                free_ended.append(exc)
+                raise
+
+        monkeypatch.setattr(propagator, "_stepper", stepping)
         before = threading.active_count()
-        with pytest.raises(InsufficientFluxError, match="free run starved"):
-            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 20)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 200_000)
+        assert time.perf_counter() - start < 3.0
+        assert [type(e) for e in free_ended] == [propagator._Stopped]
         assert threading.active_count() == before
         assert thread_errors == []
+
+    def test_free_run_error_reaches_caller(self, barrier, monkeypatch,
+                                           thread_errors):
+        step = propagator._stepper
+
+        def failing(psi, spec, barrier, *args):
+            if barrier.height == 0.0:
+                raise InsufficientFluxError("free run starved")
+            return step(psi, spec, barrier, *args)
+
+        monkeypatch.setattr(propagator, "_stepper", failing)
+        before = threading.active_count()
+        with pytest.raises(InsufficientFluxError, match="free run starved"):
+            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 9000)
+        assert threading.active_count() == before
+        assert thread_errors == []
+
+    def test_replaced_measure_arrival_runs_serially(self, barrier,
+                                                    monkeypatch):
+        # a replacement may not be thread-safe: barrier run first, on the
+        # caller's thread, and the free run only if the barrier run returns
+        calls = []
+
+        def fake(packet, barrier, spec, detector_x, n_steps):
+            calls.append((barrier.height, threading.current_thread()))
+            if barrier.height != 0.0 and n_steps == 20:
+                raise InsufficientFluxError("barrier run starved")
+            return ArrivalRecord(detector_x, barrier.height, 1.0, 0.0, 0.0,
+                                 spec, n_steps)
+
+        monkeypatch.setattr(propagator, "measure_arrival", fake)
+        me = threading.current_thread()
+        delay, _, _ = empirical_delay(Packet(1.0, 30.0), barrier, 25.0,
+                                      SMALL, 10)
+        assert delay == barrier.height
+        assert calls == [(barrier.height, me), (0.0, me)]
+        calls.clear()
+        with pytest.raises(InsufficientFluxError, match="barrier run starved"):
+            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 20)
+        assert calls == [(barrier.height, me)]

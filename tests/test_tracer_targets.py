@@ -8,7 +8,6 @@ renamed. The tracer is loaded from its source without writing bytecode.
 import importlib
 import importlib.util
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -47,38 +46,18 @@ def test_every_trace_target_resolves():
     assert not missing, f"tracer targets missing from tunneltimes: {missing}"
 
 
-def test_point_step_counter_reads_measure_arrival_arguments(barrier,
-                                                            monkeypatch):
+def test_point_step_counter_reads_measure_arrival_arguments(barrier):
     # The tracer reads spec and n_steps as measure_arrival's positional
     # arguments 2 and 4; empirical_delay must keep passing them that way.
-    # Its work counter is a read-modify-write around len(spec.x), which
-    # releases the GIL, so two traced calls entering at once can lose an
-    # update. `entry` lets one call at a time through the tracer's
-    # bookkeeping; the runs themselves still step concurrently.
-    entry = threading.Lock()
-    run = propagator.measure_arrival
-
-    def body(*args):
-        entry.release()
-        return run(*args)
-
-    monkeypatch.setattr(propagator, "measure_arrival", body)
     tracer = _load_tracer().Tracer()
     spec = GridSpec(-130.0, 120.0, 0.1, 0.005)
     tracer.install()
-    traced = propagator.measure_arrival
-
-    def gated(*args):
-        assert entry.acquire(timeout=10.0)
-        return traced(*args)
-
-    monkeypatch.setattr(propagator, "measure_arrival", gated)
     try:
         with pytest.raises(InsufficientFluxError):
-            # a 20-step window: both runs start together and both raise, so
-            # both are traced
+            # a 20-step window: the barrier run raises before the free run,
+            # since empirical_delay runs a traced measure_arrival serially
             propagator.empirical_delay(Packet(1.0, 30.0), barrier, 60.0,
                                        spec, 20)
     finally:
         tracer.uninstall()
-    assert tracer.work["propagator.measure_arrival"] == 2 * len(spec.x) * 20
+    assert tracer.work["propagator.measure_arrival"] == len(spec.x) * 20
