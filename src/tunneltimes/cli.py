@@ -32,7 +32,7 @@ from .errors import (
     ValidityWarning,
 )
 from .phasetime import phase_time, phase_time_grid
-from .propagator import empirical_delay
+from .propagator import empirical_delay, grid_errors
 from .quadrature import (
     QuadratureConfig,
     oracle_delay_B,
@@ -320,11 +320,14 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
             rows.append([k0, delay, tb.dtau_A + tb.dtau_B,
                          rec.transmitted_fraction])
             spec = rec.spec
+            cn_error, lattice_error = grid_errors(packet, barrier, spec)
             sidecar["grids"][_fmt(k0)] = {
                 "x_min": spec.x_min, "x_max": spec.x_max, "dx": spec.dx,
                 "dt": spec.dt, "n_steps": rec.n_steps,
                 "norm_drift": rec.norm_drift,
                 "wall_probability": rec.wall_probability,
+                "cn_phase_error": cn_error,
+                "lattice_dispersion_error": lattice_error,
             }
     if starved == len(cfg["k0_list"]):
         raise InsufficientFluxError("no requested k0 produced measurable flux")

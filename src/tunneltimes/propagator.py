@@ -3,7 +3,9 @@
 Crank-Nicolson stepping of i dpsi/dt = [-(1/2m) d2/dx2 + V(x)] psi on a
 hard-walled grid: (1 + i dt H / 2) psi' = (1 - i dt H / 2) psi, a Cayley map
 that conserves the discrete norm to rounding, stepped on one LAPACK
-tridiagonal LU factorization per run. The barrier run and a V = 0 reference
+tridiagonal LU factorization per run. CN is unconditionally stable, so dt
+has no stability bound; suggest_grid sets it from a stated phase-error budget
+(CN_PHASE_BUDGET). The barrier run and a V = 0 reference
 run share the grid, and the measurable delay is the difference of
 flux-weighted mean arrival times of the probability current at a detector
 placed past the barrier. The two runs step concurrently, one per thread (the
@@ -103,8 +105,11 @@ def _stepper(psi: np.ndarray, spec: GridSpec, barrier: Barrier, n_steps: int,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Advance n_steps of Crank-Nicolson; return psi and psi[probe] per step.
 
-    A = I + (i dt/2) H is LU-factored once (zgttrf; under the dt bound A is
-    strictly diagonally dominant, so this cannot break down). B = 2I - A, so
+    A = I + (i dt/2) H is LU-factored once (zgttrf). With V >= 0 and
+    t = 1/(2m dx^2), each diagonal entry of A/2 is 1/2 + i c with
+    c = (dt/4)(2t + V) >= (dt/2) t, its row's off-diagonal sum, so
+    |1/2 + i c| > c: A/2 is strictly diagonally dominant for every dt > 0 and
+    the factorization cannot break down. B = 2I - A, so
     the step psi' = A^-1 B psi is the Cayley update 2 A^-1 psi - psi: one
     zgttrs solve against A/2 (an exact halving) and one subtraction.
     A stop event, if given, is checked once per step; once set, the run
@@ -114,8 +119,6 @@ def _stepper(psi: np.ndarray, spec: GridSpec, barrier: Barrier, n_steps: int,
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     m = barrier.mass
-    if spec.dt > m * spec.dx * spec.dx * (1.0 + 1e-12):
-        raise DomainError("dt exceeds the m*dx^2 sanity bound")
     v = np.where(np.abs(spec.x) <= barrier.width / 2.0, barrier.height, 0.0)
     t = 1.0 / (2.0 * m * spec.dx * spec.dx)
     half_idt = 0.25j * spec.dt  # (i dt / 2) / 2: the entries of A/2
@@ -176,21 +179,48 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
 _MEASURE_ARRIVAL_CODE = measure_arrival.__code__
 
 
+# The CN phase error (omega dt)^2/12 allowed at the fastest relevant component.
+CN_PHASE_BUDGET = 1e-3
+
+
+def _fast_wavenumber(packet: Packet, barrier: Barrier) -> float:
+    """The fastest spectral component a delay measurement must carry.
+
+    Deep tunneling transmits mostly the above-barrier spectral tail, so this
+    covers the barrier-top wavenumber as well as k0, plus the width of the
+    packet's spectral peak.
+    """
+    return (max(packet.k0, barrier.kappa0)
+            + max(0.75, 6.0 * math.pi / packet.L0))
+
+
+def grid_errors(packet: Packet, barrier: Barrier, spec: GridSpec
+                ) -> tuple[float, float]:
+    """(CN phase error, lattice dispersion error) of spec at _fast_wavenumber.
+
+    The first is (omega dt)^2/12 with omega = k^2/2m, the relative phase
+    error of one Cayley step; the second is (k dx)^2/6, the relative
+    group-velocity error of the three-point Laplacian.
+    """
+    k = _fast_wavenumber(packet, barrier)
+    omega = k * k / (2.0 * barrier.mass)
+    return (omega * spec.dt) ** 2 / 12.0, (k * spec.dx) ** 2 / 6.0
+
+
 def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
                  ) -> tuple[GridSpec, int]:
     """Grid, step sizes and window length sized for one delay measurement.
 
-    dx resolves the fastest relevant spectral component with 20 points per
-    wavelength (and the barrier with 50 points); dt sits at half the m*dx^2
-    bound; walls are pushed far enough out that a reflection traveling at the
-    fast component speed cannot return to the detector inside the window.
+    dx resolves the fastest relevant spectral component (_fast_wavenumber)
+    with 20 points per wavelength (and the barrier with 50 points); dt spends
+    the CN phase-error budget there, (omega dt)^2/12 = CN_PHASE_BUDGET;
+    walls are pushed far enough out that a reflection traveling at the fast
+    component speed cannot return to the detector inside the window.
     """
     k0, L0 = packet.k0, packet.L0
     a, m = barrier.width, barrier.mass
     v0 = k0 / m
-    # Deep tunneling transmits mostly the above-barrier spectral tail, so the
-    # wall-safety speed must cover the barrier-top wavenumber as well.
-    k_fast = max(k0, barrier.kappa0) + max(0.75, 6.0 * math.pi / L0)
+    k_fast = _fast_wavenumber(packet, barrier)
     v_fast = k_fast / m
     t_total = (L0 + a + detector_x + 0.45 * L0) / v0
     x_max = 0.5 * (v_fast * t_total + detector_x) + 10.0
@@ -200,7 +230,7 @@ def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
     if a > 0.0:
         dx_candidates.append(a / 50.0)
     dx = min(dx_candidates)
-    dt = 0.5 * m * dx * dx
+    dt = math.sqrt(12.0 * CN_PHASE_BUDGET) / (k_fast * k_fast / (2.0 * m))
     n_steps = int(math.ceil(t_total / dt))
     return GridSpec(x_min, x_max, dx, dt), n_steps
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -499,6 +500,15 @@ class TestPropagate:
         grid = sidecar["grids"]["1"]
         assert 0.0 <= grid["norm_drift"] < 1e-9
         assert 0.0 <= grid["wall_probability"] < 1.0
+        # the error estimates of the grid used, at k_fast = max(k0, kappa0)
+        # + max(0.75, 6 pi / L0) on the 2mV = 1 barrier
+        k_fast = 1.0 + 6.0 * math.pi / 20.0
+        omega = k_fast ** 2 / 2.0
+        assert grid["cn_phase_error"] == pytest.approx(
+            (omega * grid["dt"]) ** 2 / 12.0, rel=1e-12)
+        assert grid["cn_phase_error"] == pytest.approx(1e-3, rel=1e-12)
+        assert grid["lattice_dispersion_error"] == pytest.approx(
+            (k_fast * grid["dx"]) ** 2 / 6.0, rel=1e-12)
 
     def test_free_control_row(self, tmp_path):
         out = tmp_path / "prop.csv"

@@ -12,10 +12,12 @@ from tunneltimes.errors import (
     InsufficientFluxError,
 )
 from tunneltimes.propagator import (
+    CN_PHASE_BUDGET,
     ArrivalRecord,
     GridSpec,
     empirical_delay,
     evolve,
+    grid_errors,
     init_state,
     measure_arrival,
     suggest_grid,
@@ -24,6 +26,22 @@ from tunneltimes.scattering import Barrier, amplitude_grid
 from tunneltimes.wavepacket import Packet
 
 SMALL = GridSpec(-130.0, 120.0, 0.1, 0.005)
+
+
+def dense_crank_nicolson(state, spec, barrier, n_steps):
+    """Reference CN: n_steps dense solves of A psi' = B psi, with
+    A, B = I +- (i dt/2) H."""
+    x = spec.x
+    v = np.where(np.abs(x) <= barrier.width / 2.0, barrier.height, 0.0)
+    t = 1.0 / (2.0 * barrier.mass * spec.dx ** 2)
+    h = (np.diag(2.0 * t + v) - t * np.eye(len(x), k=1)
+         - t * np.eye(len(x), k=-1))
+    a_mat = np.eye(len(x)) + 0.5j * spec.dt * h
+    b_mat = np.eye(len(x)) - 0.5j * spec.dt * h
+    ref = state
+    for _ in range(n_steps):
+        ref = np.linalg.solve(a_mat, b_mat @ ref)
+    return ref
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +97,19 @@ class TestEvolve:
         assert abs(SMALL.norm(out) - 1.0) < 1e-7
 
     def test_cfl_guard(self, barrier):
+        # CN has no dt bound: dt = 0.1 is 10x the old m*dx^2 limit, and the
+        # step stays unitary and equal to dense CN (A/2 is diagonally
+        # dominant for every dt, see _stepper).
         spec = GridSpec(-130.0, 120.0, 0.1, 0.1)
         state = init_state(Packet(1.0, 30.0), barrier, spec)
-        with pytest.raises(DomainError):
-            evolve(state, spec, barrier, 1)
+        out = evolve(state, spec, barrier, 600)
+        assert abs(spec.norm(out) - 1.0) < 1e-9
+        # the dense reference on the dense test's window at the same dx, dt
+        window = GridSpec(-40.0, 20.0, spec.dx, spec.dt)
+        state = init_state(Packet(1.0, 20.0), barrier, window)
+        ref = dense_crank_nicolson(state, window, barrier, 50)
+        got = evolve(state, window, barrier, 50)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_determinism(self, small_state, barrier):
         a = evolve(small_state, SMALL, barrier, 500)
@@ -95,17 +122,8 @@ class TestEvolve:
         # and the reuse of one factorization across steps.
         spec = GridSpec(-40.0, 20.0, 0.3, 0.04)
         state = init_state(Packet(1.0, 20.0), barrier, spec)
-        x = spec.x
-        assert len(x) == 199
-        v = np.where(np.abs(x) <= barrier.width / 2.0, barrier.height, 0.0)
-        t = 1.0 / (2.0 * barrier.mass * spec.dx ** 2)
-        h = (np.diag(2.0 * t + v) - t * np.eye(len(x), k=1)
-             - t * np.eye(len(x), k=-1))
-        a_mat = np.eye(len(x)) + 0.5j * spec.dt * h
-        b_mat = np.eye(len(x)) - 0.5j * spec.dt * h
-        ref = state
-        for _ in range(n_steps):
-            ref = np.linalg.solve(a_mat, b_mat @ ref)
+        assert len(spec.x) == 199
+        ref = dense_crank_nicolson(state, spec, barrier, n_steps)
         got = evolve(state, spec, barrier, n_steps)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -146,6 +164,52 @@ class TestArrival:
         # a window far too short for anything to arrive
         with pytest.raises(InsufficientFluxError):
             measure_arrival(Packet(1.0, 30.0), barrier, SMALL, 60.0, 20)
+
+
+def _earlier_grid(packet, barrier, detector_x):
+    """The walls, dx and window that suggest_grid has always set."""
+    k0, L0, a, m = packet.k0, packet.L0, barrier.width, barrier.mass
+    k_fast = max(k0, barrier.kappa0) + max(0.75, 6.0 * math.pi / L0)
+    t_total = (L0 + a + detector_x + 0.45 * L0) / (k0 / m)
+    x_max = 0.5 * (k_fast / m * t_total + detector_x) + 10.0
+    x_min = -max(L0 + a / 2.0 + 20.0,
+                 0.5 * (k_fast / m * t_total - detector_x) + 10.0)
+    dx = min(2.0 * math.pi / (20.0 * k_fast), a / 50.0)
+    return x_min, x_max, dx, t_total
+
+
+class TestSuggestGrid:
+    # k0 0.3, 1.1 and 1.5 on the reference barrier, and a thin barrier on
+    # which the a/50 candidate sets dx
+    CASES = [(0.3, 150.0, 15.0), (1.1, 150.0, 15.0), (1.5, 30.0, 15.0),
+             (1.1, 150.0, 2.0)]
+
+    @pytest.mark.parametrize("k0, L0, a", CASES)
+    def test_dt_meets_the_phase_budget(self, k0, L0, a):
+        packet, barrier = Packet(k0, L0), Barrier.from_two_mv(1.0, a, 1.0)
+        spec, _ = suggest_grid(packet, barrier, 30.0)
+        cn_error, _ = grid_errors(packet, barrier, spec)
+        assert cn_error == pytest.approx(CN_PHASE_BUDGET, rel=1e-12)
+
+    @pytest.mark.parametrize("k0, L0, a", CASES)
+    def test_walls_dx_and_window_unchanged(self, k0, L0, a):
+        packet, barrier = Packet(k0, L0), Barrier.from_two_mv(1.0, a, 1.0)
+        spec, n = suggest_grid(packet, barrier, 30.0)
+        x_min, x_max, dx, t_total = _earlier_grid(packet, barrier, 30.0)
+        assert (spec.x_min, spec.x_max, spec.dx) == (x_min, x_max, dx)
+        assert (n - 1) * spec.dt < t_total <= n * spec.dt
+        if a == 2.0:
+            assert spec.dx == a / 50.0
+
+    def test_halving_dt_moves_the_delay_under_one_percent(self, barrier):
+        # the budget leaves the delay's time-step error well below its dx
+        # error; measured at 0.30%
+        packet = Packet(1.5, 30.0)
+        spec, n = suggest_grid(packet, barrier, 30.0)
+        half = GridSpec(spec.x_min, spec.x_max, spec.dx, spec.dt / 2.0)
+        d1, _, _ = empirical_delay(packet, barrier, 30.0, spec, n)
+        d2, _, _ = empirical_delay(packet, barrier, 30.0, half, 2 * n)
+        assert abs(d2 - d1) < 0.01 * abs(d1)
 
 
 class TestEmpiricalDelay:
