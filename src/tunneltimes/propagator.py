@@ -8,9 +8,8 @@ has no stability bound; suggest_grid sets it from a stated phase-error budget
 (CN_PHASE_BUDGET). The barrier run and a V = 0 reference
 run share the grid, and the measurable delay is the difference of
 flux-weighted mean arrival times of the probability current at a detector
-placed past the barrier. The two runs step concurrently, one per thread (the
-LAPACK solves release the GIL), and their records are bit-identical to
-stepping them one after the other.
+placed past the barrier. The two runs step on two threads at once (the
+LAPACK solves release the GIL), with records bit-identical to serial runs.
 
 The truncated packet has slow 1/q momentum tails, so the transmitted signal
 in the deep-tunneling regime is carried mostly by the above-barrier tail
@@ -243,13 +242,12 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
     Both runs share the grid and window, which each record names. Only a
     missing spec or n_steps calls suggest_grid: a missing spec is its grid,
     a missing n_steps spans its window at spec.dt.
-    The free run steps on a worker thread while the calling thread steps the
-    barrier run, and each record is bit-identical to a serial measure_arrival
-    call. If the barrier run raises (a signal lands in it within one step),
-    the free run is stopped within one step and joined before this raises.
-    A replaced measure_arrival (a profiler's wrapper, a test double) may
-    keep bookkeeping that is not thread-safe, so it is called serially,
-    barrier run first.
+    The free run is a one-worker concurrent.futures task while the calling
+    thread steps the barrier run. Any exception here, a signal included,
+    stops the free run within one step; the worker is joined before this
+    returns or raises. A replaced measure_arrival (a profiler's wrapper, a
+    test double) may not be thread-safe, so it is called serially, barrier
+    run first.
     Returns (delay, barrier_record, free_record).
 
     Raises
@@ -270,41 +268,17 @@ def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,
         rec_barrier = run(packet, barrier, spec, detector_x, n_steps)
         rec_free = run(packet, free, spec, detector_x, n_steps)
     else:
-        rec_barrier, rec_free = _concurrent_runs(packet, barrier, free, spec,
-                                                 detector_x, n_steps)
+        # Imported here, as scipy.linalg in _stepper: only stepping needs it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        stop = threading.Event()
+        with ThreadPoolExecutor(1) as pool:
+            try:
+                free_run = pool.submit(run, packet, free, spec, detector_x,
+                                       n_steps, stop=stop)
+                rec_barrier = run(packet, barrier, spec, detector_x, n_steps)
+                rec_free = free_run.result()
+            except BaseException:
+                stop.set()
+                raise
     return rec_barrier.mean_arrival - rec_free.mean_arrival, rec_barrier, rec_free
-
-
-def _concurrent_runs(packet: Packet, barrier: Barrier, free: Barrier,
-                     spec: GridSpec, detector_x: float, n_steps: int
-                     ) -> tuple[ArrivalRecord, ArrivalRecord]:
-    """Step the free run on a worker thread and the barrier run on this one.
-
-    A barrier-run exception stops the free run and wins over its exception;
-    the worker is joined before this returns or raises.
-    """
-    stop = threading.Event()
-    free_out = []
-
-    def run_free():
-        # Any exception is handed to the caller, never to threading.excepthook.
-        try:
-            free_out.append(measure_arrival(packet, free, spec, detector_x,
-                                            n_steps, stop=stop))
-        except BaseException as exc:
-            free_out.append(exc)
-
-    # daemon: a join cut short by a second interrupt must not block exit
-    worker = threading.Thread(target=run_free, name="free-run", daemon=True)
-    worker.start()
-    try:
-        rec_barrier = measure_arrival(packet, barrier, spec, detector_x, n_steps)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    rec_free = free_out.pop()
-    if isinstance(rec_free, BaseException):
-        raise rec_free
-    return rec_barrier, rec_free

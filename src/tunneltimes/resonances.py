@@ -34,7 +34,7 @@ from .scattering import Barrier, _w_terms, amplitude_grid
 _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
-_SEED_DEPTHS = (-1e-3, -0.03, -0.2)  # Im k of the Newton seeds per pole index
+_SEED_DEPTH = -1e-3     # Im k of the Newton seed of each pole index
 _MAX_POLES = 64          # per parity
 _MAX_INDICES = 4 * _MAX_POLES  # pole indices n spanned by the seeds
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
@@ -103,17 +103,19 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     """Zeros of the parity denominator inside a rectangle by the argument
     principle (Ying & Katz 1988; Kravanja & Van Barel 2000).
 
-    The boundary starts as _WIND_SEGMENTS segments per side, all four sides
-    in one vector evaluation of W. Level by level, every segment [z1, z2]
-    with |W(z2)/W(z1) - 1| > 0.5 is bisected, that level's midpoints again
-    in one evaluation; a segment that passes adds the principal
-    arg(W(z2)/W(z1)), at most pi/6. Bounding the change of log W, modulus
-    as well as phase, matters where a side passes close to zeros: at a = 60
-    arg W turns by 5.6-6.5 rad inside single initial segments along the
-    real axis while their principal steps read 0.2-0.7 rad, so a cut on
-    |Delta arg| alone (0.8 rad) counted 25 for 27; |W| changes enough there
-    (|ratio - 1| = 0.61-840) for the ratio rule to split them. At most
-    _WIND_MAX_EVALS points are evaluated.
+    Each side starts as max(_WIND_SEGMENTS, ceil(|side| a/pi)) segments, at
+    least one per pole spacing pi/a (48 along Re k in [0.5, 3] aliased to 76
+    for 90 at a = 200), all four sides in one vector evaluation of W.
+    Level by level, every segment [z1, z2] with |W(z2)/W(z1) - 1| > 0.5 is
+    bisected, that level's midpoints again in one evaluation; a segment
+    that passes adds the principal arg(W(z2)/W(z1)), at most pi/6.
+    Bounding the change of log W, modulus as well as phase, matters where
+    a side passes close to zeros: at a = 60 arg W turns by 5.6-6.5 rad
+    inside single initial segments along the real axis while their
+    principal steps read 0.2-0.7 rad, so a cut on |Delta arg| alone
+    (0.8 rad) counted 25 for 27; |W| changes enough there (|ratio - 1| =
+    0.61-840) for the ratio rule to split them. At most _WIND_MAX_EVALS
+    points are evaluated.
 
     If im_hi >= 0 the top edge is walked at max(im_hi, _WIND_LIFT): V >= 0
     binds no state, so W+- has no zero with Im k > 0, and the lifted edge
@@ -135,8 +137,10 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
         im_hi = max(im_hi, _WIND_LIFT)
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    per_length = barrier.width / math.pi  # poles are ~pi/a apart along Re k
     z = np.concatenate(
-        [np.linspace(z1, z2, _WIND_SEGMENTS, endpoint=False)
+        [np.linspace(z1, z2, endpoint=False, num=max(
+            _WIND_SEGMENTS, math.ceil(abs(z2 - z1) * per_length)))
          for z1, z2 in zip(corners, corners[1:] + corners[:1])]
         + [corners[:1]])
     evals = 0
@@ -172,7 +176,7 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
 
 
 def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
-    """Newton seeds +-k_n + i depth for each of _SEED_DEPTHS, n-major.
+    """One Newton seed +-k_n + i _SEED_DEPTH per pole index n.
 
     Above-barrier poles sit near k_n = sqrt(2mV + (n pi/a)^2), and their
     mirrors near -k_n (zeros of W+- pair as k, -conj(k)). The seeds cover
@@ -202,7 +206,7 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     for sign, n_lo, n_hi in spans:
         n = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2)
         k_n = sign * np.sqrt(two_mv + (n * math.pi / a) ** 2)
-        seeds.append((k_n[:, None] + 1j * np.array(_SEED_DEPTHS)).ravel())
+        seeds.append(k_n + 1j * _SEED_DEPTH)
     return np.concatenate(seeds)
 
 
@@ -253,7 +257,7 @@ def _harvest(barrier: Barrier, rect, parity: str):
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    Per parity, the Newton harvest (see _harvest: three seeds below each
+    Per parity, the Newton harvest (see _harvest: one seed just below each
     pole-index estimate k_n = sqrt(2mV + (n pi/a)^2), _NEWTON_STEPS damped
     steps, duplicates within _DEDUP_TOL dropped) is cross-checked against
     the argument-principle winding count, so a pole the seeds miss is a

@@ -556,10 +556,12 @@ class TestPropagate:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg",
+                                    "concurrent.futures"])
 def test_cli_import_skips_large_module(module):
     # No module needs scipy.sparse, and only the Crank-Nicolson stepper needs
-    # scipy.linalg; both are large imports, so keep CLI start-up free of them.
+    # scipy.linalg and concurrent.futures (for the free run); keep CLI
+    # start-up free of these imports.
     src = str(Path(tunneltimes.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

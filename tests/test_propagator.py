@@ -1,4 +1,5 @@
 import math
+import signal
 import threading
 import time
 
@@ -302,11 +303,14 @@ class TestConcurrentRuns:
         return seen
 
     def test_records_equal_serial_runs(self, barrier):
+        # bit-equality only, so the suggested grid (dt on the phase budget)
+        # serves; SMALL's dt is 14x finer than the budget needs
         packet = Packet(1.0, 30.0)
-        delay, rec, free = empirical_delay(packet, barrier, 25.0, SMALL, 9000)
-        serial = measure_arrival(packet, barrier, SMALL, 25.0, 9000)
-        serial_free = measure_arrival(packet, Barrier(0.0, 15.0, 1.0), SMALL,
-                                      25.0, 9000)
+        spec, n = suggest_grid(packet, barrier, 25.0)
+        delay, rec, free = empirical_delay(packet, barrier, 25.0, spec, n)
+        serial = measure_arrival(packet, barrier, spec, 25.0, n)
+        serial_free = measure_arrival(packet, Barrier(0.0, 15.0, 1.0), spec,
+                                      25.0, n)
         assert rec == serial
         assert free == serial_free
         assert delay == serial.mean_arrival - serial_free.mean_arrival
@@ -364,6 +368,41 @@ class TestConcurrentRuns:
             free_stepping.set()
             try:
                 return step(psi, spec, barrier, *args)
+            except BaseException as exc:
+                free_ended.append(exc)
+                raise
+
+        monkeypatch.setattr(propagator, "_stepper", stepping)
+        before = threading.active_count()
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 200_000)
+        assert time.perf_counter() - start < 3.0
+        assert [type(e) for e in free_ended] == [propagator._Stopped]
+        assert threading.active_count() == before
+        assert thread_errors == []
+
+    def test_interrupt_while_waiting_stops_the_free_run(self, barrier,
+                                                        monkeypatch,
+                                                        thread_errors):
+        # the barrier run has returned and the caller waits for the free run
+        # when SIGINT lands: the free run must end within a step, not step
+        # out its 200,000-step (~16 s) window
+        barrier_returned = threading.Event()
+        free_ended = []
+        main_ident = threading.get_ident()
+        step = propagator._stepper
+
+        def stepping(psi, spec, barrier, n_steps, *args):
+            if barrier.height != 0.0:
+                # a steady outgoing current: the barrier run returns at once
+                barrier_returned.set()
+                return psi, np.tile([1.0, 1.0, 1.0 + 1.0j], (n_steps, 1))
+            assert barrier_returned.wait(10.0)
+            time.sleep(0.2)
+            signal.pthread_kill(main_ident, signal.SIGINT)
+            try:
+                return step(psi, spec, barrier, n_steps, *args)
             except BaseException as exc:
                 free_ended.append(exc)
                 raise

@@ -117,11 +117,15 @@ class TestFindPoles:
             if 1.0 <= kr <= 1.3 and p.Gamma < 0.2:
                 assert np.min(np.abs(peak_ks - kr)) < abs(p.k_pole.imag)
 
-    @pytest.mark.parametrize("two_mv, a", [(1.0, 100.0), (4.0, 60.0)])
+    @pytest.mark.parametrize("two_mv, a", [(1.0, 100.0), (4.0, 60.0),
+                                           (1.0, 200.0)])
     def test_lifted_contour_counts_near_real_resonances(self, two_mv, a):
         # resonances ~2e-5 under the real axis: a top edge on Im k = 0
         # counted 43 / 44 at a = 100 and 21 (+) at 2mV = 4; the walk lifts
-        # it to Im k = 0.05, above which V >= 0 leaves no zero of W
+        # it to Im k = 0.05, above which V >= 0 leaves no zero of W. At
+        # a = 200 the poles are ~pi/a = 0.016 apart, and 48 initial segments
+        # along Re k aliased (arg W turned by ~2 pi inside segments that
+        # passed the ratio test) and read 76 (+) / 77 (-) for 90
         b = Barrier.from_two_mv(two_mv, a)
         count = math.floor(a * math.sqrt(9.0 - two_mv) / math.pi) // 2
         for parity in ("+", "-"):
