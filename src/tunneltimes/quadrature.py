@@ -1,23 +1,27 @@
 """Brute-force quadrature oracles for the defining momentum integrals.
 
 These evaluate the packet averages behind the closed forms directly on the
-real axis, independently of the closed forms. The 1/k singularity is a
-principal value taken by analytic subtraction: the residue c of each declared
-simple pole is estimated from a symmetric limit, c/(k - p) is subtracted over
-the whole window, the smooth remainder is integrated adaptively, and the
-exact PV of the subtracted term, c * ln((b-p)/(p-a)), is added back.
+real axis, independently of the closed forms, over a window [-k_hi, k_hi].
+The 1/k branch point at k = 0 makes each a principal value (PV). For the
+inverse velocity and the tunneling time, rho(k - k0) times a function odd in
+k, the PV folds onto the pole-free integral over [0, k_hi] of
+(rho(k - k0) - rho(k + k0)) times that function. The outside delay's PV is
+taken by analytic subtraction: the residue c of each declared simple pole is
+estimated from a symmetric limit, c/(k - p) is subtracted over the whole
+window, the smooth remainder is integrated adaptively, and the exact PV of
+the subtracted term, c * ln((b-p)/(p-a)), is added back.
 
 Panels never exceed half an oscillation period pi/L0 of the exp(ikL0)
-factors; each panel is scored by a 10- vs 20-point Gauss-Legendre pair and
-bisected until the disagreement fits the local share of the error budget.
-Refinement is level-synchronous, in the manner of scipy.integrate.quad_vec:
-all panels of one level are scored together, their 10 and 20 nodes in one
-integrand call per block of at most _BLOCK_PANELS panels, and the rejected
-ones are bisected into the next level. Each level is charged to the panel
-budget before it is evaluated, so a refinement that cannot finish raises at
-once and names the level and k-interval where it stalled. Accepted panels are
-summed one by one in order of their left edge, the order of a depth-first
-walk, so results are bit-deterministic for a given configuration.
+factors. Each keeps the 21-point value of the embedded Gauss-Kronrod (10, 21)
+pair and is bisected until the two rules' disagreement fits the local share
+of the error budget. Refinement is level-synchronous, in the manner of
+scipy.integrate.quad_vec: all panels of one level are scored together, their
+21 nodes in one integrand call per block of at most _BLOCK_PANELS panels, and
+the rejected ones are bisected into the next level. Each level is charged to
+the panel budget before it is evaluated, so a refinement that cannot finish
+raises at once and names the level and k-interval where it stalled. Accepted
+panels are summed one by one in order of their left edge, the order of a
+depth-first walk, so results are bit-deterministic for a given configuration.
 
 The truncation window is an absolute half-width around k0 (always covering a
 symmetric neighborhood of 0). Keeping it fixed as L0 grows makes the window
@@ -38,11 +42,30 @@ from .phasetime import phase_time_grid
 from .scattering import Barrier, amplitude_grid
 from .wavepacket import Packet, f_amp_and_deriv, momentum_density
 
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
-_X20, _W20 = np.polynomial.legendre.leggauss(20)
-# Both rules' nodes in one row, so one integrand call scores a panel.
-_X30 = np.concatenate([_X10, _X20])
-# Panels per integrand call: bounds the node arrays at 2048 * 30 points.
+# The Gauss-Kronrod (10, 21) pair, copied from QUADPACK's qk21 table
+# (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer
+# 1983): the Kronrod nodes x >= 0 in descending order, their Kronrod weights,
+# and the Gauss weights of x[1::2], the 10-point Gauss-Legendre nodes. _X21
+# holds all 21 nodes in ascending order, the Gauss ones at _X21[1::2].
+_XGK = np.array([0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493, 0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874, 0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190, 0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805, 0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068, 0.149445554002916905664936468389821])
+_WG = np.array([0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697, 0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469, 0.295524224714752870173892994651338])
+_X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WK21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WG10 = np.concatenate([_WG, _WG[::-1]])
+# Panels per integrand call: bounds the node arrays at 2048 * 21 points.
 _BLOCK_PANELS = 2048
 # Imaginary parts below this are rounding noise in any oracle result.
 _IMAG_ABS_FLOOR = 1e-10
@@ -74,24 +97,24 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 def _score(f_eval, a, b):
-    """(I10, I20, max gross |f| on the 20 nodes) of the panels [a, b].
+    """(G10, K21, max gross |f| on the 21 nodes) of the panels [a, b].
 
-    Evaluates both rules' nodes in one integrand call per block of at most
-    _BLOCK_PANELS panels.
+    Evaluates the 21 Kronrod nodes, which include the 10 Gauss nodes, in one
+    integrand call per block of at most _BLOCK_PANELS panels.
     """
     mids = 0.5 * (a + b)
     halves = 0.5 * (b - a)
     # Blocks of equal size: a one-row block would take BLAS's vector-dot
     # route, which rounds differently from the matrix route of the others.
     step = math.ceil(len(a) / math.ceil(len(a) / _BLOCK_PANELS))
-    i10, i20, fmax = [], [], []
+    g10, k21, fmax = [], [], []
     for s in range(0, len(a), step):
         h = halves[s:s + step]
-        vals, gross = f_eval(mids[s:s + step, None] + h[:, None] * _X30)
-        i10.append(np.dot(vals[:, :10], _W10) * h)
-        i20.append(np.dot(vals[:, 10:], _W20) * h)
-        fmax.append(np.max(gross[:, 10:], axis=1))
-    return np.concatenate(i10), np.concatenate(i20), np.concatenate(fmax)
+        vals, gross = f_eval(mids[s:s + step, None] + h[:, None] * _X21)
+        g10.append(np.dot(vals[:, 1::2], _WG10) * h)
+        k21.append(np.dot(vals, _WK21) * h)
+        fmax.append(np.max(gross, axis=1))
+    return np.concatenate(g10), np.concatenate(k21), np.concatenate(fmax)
 
 
 def pv_integrate(
@@ -184,10 +207,10 @@ def pv_integrate(
                 f"refinement level {level}: {len(a)} unresolved panels span "
                 f"k in [{a.min():.9g}, {b.max():.9g}]"
             )
-        i10, i20, fm = _score(f_eval, a, b)
+        g10, k21, fm = _score(f_eval, a, b)
         if level == 0:
             # The first level fixes the error-budget scale.
-            scale = float(np.sum(np.abs(i20)))
+            scale = float(np.sum(np.abs(k21)))
             if scale == 0.0:
                 scale = 1e-300
             tol_per_width = config.rel_tol * scale / width_total
@@ -196,10 +219,10 @@ def pv_integrate(
         # quadrature of this panel; without it, near-singular refinement
         # chains and cancellation-noise integrands would split forever.
         floor = 1e-14 * fm * width
-        ok = ((np.abs(i10 - i20) <= tol_per_width * width + floor)
+        ok = ((np.abs(g10 - k21) <= tol_per_width * width + floor)
               | (width < 1e-13 * width_total))
         acc_a.append(a[ok])
-        acc_i.append(i20[ok])
+        acc_i.append(k21[ok])
         a, b = a[~ok], b[~ok]
         m = 0.5 * (a + b)
         a, b = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()
@@ -228,43 +251,47 @@ def _check_real(value: complex, what: str) -> float:
     return value.real
 
 
-def _packet_pv(g, packet: Packet, config: QuadratureConfig, what: str) -> float:
-    """Real PV integral of g over the window around k0, pole at k = 0."""
-    k_hi = packet.k0 + max(config.window_half_width, 40.0 * math.pi / packet.L0)
-    val = pv_integrate(g, [0.0], config, domain=(-k_hi, k_hi),
-                       oscillation_length=packet.L0)
-    return _check_real(val, what)
+def _window_edge(packet: Packet, config: QuadratureConfig) -> float:
+    """Upper edge k_hi of the symmetric window [-k_hi, k_hi]."""
+    return packet.k0 + max(config.window_half_width, 40.0 * math.pi / packet.L0)
+
+
+def _folded_pv(odd, packet: Packet, config: QuadratureConfig) -> float:
+    """Folded PV: the integral of (rho(k-k0) - rho(k+k0)) odd(k) over [0, k_hi]."""
+    k0 = packet.k0
+
+    def g(k):
+        rho = momentum_density(k - k0, packet) - momentum_density(k + k0, packet)
+        return rho * odd(k)
+
+    return pv_integrate(g, [], config, domain=(0.0, _window_edge(packet, config)),
+                        oscillation_length=packet.L0).real
 
 
 def oracle_inverse_velocity(
     packet: Packet, barrier: Barrier, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """Direct PV evaluation of the packet-averaged inverse group velocity."""
-    k0, m = packet.k0, barrier.mass
-
-    def g(k):
-        return (m / (2.0 * math.pi)) * momentum_density(k - k0, packet) / k + 0j
-
-    return _packet_pv(g, packet, config, "inverse-velocity oracle")
+    m = barrier.mass
+    return _folded_pv(lambda k: (m / (2.0 * math.pi)) / k, packet, config)
 
 
 def oracle_tunneling_time(
     packet: Packet, barrier: Barrier, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """Direct PV evaluation of the packet-averaged phase time."""
-    k0 = packet.k0
-
-    def g(k):
-        return (momentum_density(k - k0, packet) / (2.0 * math.pi)
-                * phase_time_grid(k, barrier)) + 0j
-
-    return _packet_pv(g, packet, config, "tunneling-time oracle")
+    return _folded_pv(lambda k: phase_time_grid(k, barrier) / (2.0 * math.pi),
+                      packet, config)
 
 
 def oracle_delay_B(
     packet: Packet, barrier: Barrier, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
-    """Direct PV evaluation of the oscillatory outside-the-barrier delay."""
+    """Direct PV evaluation of the oscillatory outside-the-barrier delay.
+
+    Not folded, though g(-k) = conj g(k): the PV route with the pole at 0
+    reports a vanishing barrier's |k| <~ m V a spike as NonConvergenceError.
+    """
     k0, m, a = packet.k0, barrier.mass, barrier.width
     if barrier.height * barrier.width == 0.0:
         # F+ + F- vanishes identically with no barrier; numerically the
@@ -278,4 +305,7 @@ def oracle_delay_B(
         bracket = f_m * df_p - f_p * df_m
         return (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * bracket
 
-    return _packet_pv(g, packet, config, "outside-delay oracle")
+    k_hi = _window_edge(packet, config)
+    val = pv_integrate(g, [0.0], config, domain=(-k_hi, k_hi),
+                       oscillation_length=packet.L0)
+    return _check_real(val, "outside-delay oracle")

@@ -7,10 +7,11 @@ momentum space the incoming state is f*(k - k0) with
     f*(q) = (1/sqrt(L0)) e^{i q a/2} (1 - e^{i q L0}) / (-i q),
 
 and the outgoing state is the same amplitude translated by L0 + a, i.e.
-times the phase e^{-i q (L0 + a)}. For real q the partner amplitude is
-f(q) = f*(-q) = conj(f*(q)), with derivative -f*'(-q). The modulus squared
-|f(q)|^2 = L0 sinc^2(q L0 / 2) integrates to 2*pi, i.e. the states are unit
-normalized.
+times the phase e^{-i q (L0 + a)}. For real q this is the sinc form
+f*(q) = sqrt(L0) e^{i q (a + L0)/2} S(q L0 / 2) with S(x) = sin(x)/x, so one
+complex phase and one sin/cos pair give the amplitude and its derivative.
+The partner amplitude is f(q) = f*(-q) = conj(f*(q)), with derivative
+-f*'(-q). |f(q)|^2 = L0 sinc^2(q L0 / 2) integrates to 2*pi: unit norm.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below this |q|*L0 the oscillatory quotient switches to a 3-term Taylor form.
-_TAYLOR_CUT = 1e-6
+# Below |x| = _SERIES_CUT, S'(x) = x sum_{n=1..7} (-1)^n 2n x^(2n-2)/(2n+1)!;
+# the first omitted term is at most 48 * 0.5^14/17! = 8.2e-18 of the leading
+# -x/3. Above it, (cos x - S)/x loses about 10 ulp (2e-15) to cancellation.
+_SERIES_CUT = 0.5
+_DS_COEFFS = [(-1) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(1, 8)]
 
 
 @dataclass(frozen=True)
@@ -40,58 +44,23 @@ class Packet:
             raise DomainError(f"packet L0 must be > 0, got {self.L0}")
 
 
-def _expm1_complex(z):
-    """e^z - 1 without cancellation: expm1/cos/sin pieces assembled exactly."""
-    x, y = z.real, z.imag
-    return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2
-            + 1j * np.exp(x) * np.sin(y))
-
-
-def _quot(z):
-    """(e^z - 1)/z with a 3-term series below the cancellation cutoff."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    small = np.abs(z) < _TAYLOR_CUT
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
-    zb = z[~small]
-    out[~small] = _expm1_complex(zb) / zb
-    return out
-
-
-def _quot_deriv(z):
-    """d/dz[(e^z - 1)/z] = ((z - 1)e^z + 1)/z^2, series-stabilized for small z."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.25
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    # sum_{n>=1} n z^{n-1} / (n+1)! = 1/2 + z/3 + z^2/8 + z^3/30 + ...
-    for c in reversed([1 / 2.0, 1 / 3.0, 1 / 8.0, 1 / 30.0, 1 / 144.0,
-                       1 / 840.0, 1 / 5760.0, 1 / 45360.0]):
-        acc = acc * zs + c
-    out[small] = acc
-    zb = z[~small]
-    out[~small] = ((zb - 1.0) * np.exp(zb) + 1.0) / (zb * zb)
-    return out
-
-
 def f_amp_and_deriv(q, packet: Packet, barrier_width: float):
-    """(f*(q), d f*/dq) as arrays at offsets q = k - k0.
+    """(f*(q), d f*/dq) as arrays at real offsets q = k - k0.
 
-    f*(q) = (1/sqrt(L0)) e^{i q a/2} (1 - e^{i q L0})/(-i q), with the q -> 0
-    limit sqrt(L0) taken analytically. Both share the phase e^{i q a/2} and
-    the quotient, which the oscillatory delay integrand needs at once.
+    With x = q L0/2, d f*/dq = sqrt(L0) e^{i q (a + L0)/2} (i (a + L0)/2 S(x)
+    + (L0/2) S'(x)) and S'(x) = (cos x - S(x))/x. DomainError for a q with a
+    nonzero imaginary part.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=complex))
-    L0, a = packet.L0, barrier_width
-    z = 1j * q * L0
-    phase = np.exp(1j * q * a / 2.0)
-    quot = _quot(z)
-    root = math.sqrt(L0)
-    f = phase * root * quot
-    df = phase * (root * (quot * (1j * a / 2.0) + _quot_deriv(z) * 1j * L0))
-    return f, df
+    q = np.atleast_1d(q)
+    if np.any(np.imag(q)):
+        raise DomainError("packet amplitude needs real offsets q, got a complex q")
+    q, L0, a = np.real(q), packet.L0, barrier_width
+    x = 0.5 * L0 * q
+    s = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    series = x * np.polynomial.polynomial.polyval(x * x, _DS_COEFFS)
+    ds = np.divide(np.cos(x) - s, x, out=series, where=np.abs(x) >= _SERIES_CUT)
+    phase = math.sqrt(L0) * np.exp(0.5j * (a + L0) * q)
+    return phase * s, phase * (0.5j * (a + L0) * s + 0.5 * L0 * ds)
 
 
 def f_amp(q, packet: Packet, barrier_width: float):

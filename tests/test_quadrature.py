@@ -12,6 +12,7 @@ from tunneltimes.errors import (
     ImaginaryResidueError,
     NonConvergenceError,
 )
+from tunneltimes.phasetime import phase_time_grid
 import tunneltimes.quadrature as quadrature
 from tunneltimes.quadrature import (
     QuadratureConfig,
@@ -21,8 +22,35 @@ from tunneltimes.quadrature import (
     oracle_tunneling_time,
     pv_integrate,
 )
-from tunneltimes.scattering import Barrier
-from tunneltimes.wavepacket import Packet, momentum_density
+from tunneltimes.scattering import Barrier, amplitude_grid
+from tunneltimes.wavepacket import Packet, f_amp_and_deriv, momentum_density
+
+
+class TestKronrodRule:
+    def test_nodes_symmetric(self):
+        x, w = quadrature._X21, quadrature._WK21
+        assert x.size == w.size == 21
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+
+    def test_gauss_subset_is_legendre_10(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        assert np.max(np.abs(quadrature._X21[1::2] - x)) < 1e-15
+        assert np.max(np.abs(quadrature._WG10 - w)) < 1e-15
+
+    @pytest.mark.parametrize("rule, degree", [("kronrod", 31), ("gauss", 19)])
+    def test_polynomial_exactness(self, rule, degree):
+        x, w = quadrature._X21, quadrature._WK21
+        if rule == "gauss":
+            x, w = x[1::2], quadrature._WG10
+        for j in range(degree + 1):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.dot(w, x**j) - exact) < 1e-14, j
+
+    def test_weights_sum_to_two(self):
+        assert quadrature._WK21.sum() == pytest.approx(2.0, abs=1e-15)
+        assert quadrature._WG10.sum() == pytest.approx(2.0, abs=1e-15)
 
 
 class TestPvIntegrate:
@@ -53,8 +81,9 @@ class TestPvIntegrate:
         expect = 2j * sici(K * L)[0]
         assert val == pytest.approx(expect, abs=1e-6)
         assert abs(val - 1j * math.pi) < 2.5 / (K * L)
-        assert max(sizes) <= 30 * quadrature._BLOCK_PANELS
-        assert sum(sizes) >= 30 * 5093
+        nodes = quadrature._X21.size
+        assert max(sizes) <= nodes * quadrature._BLOCK_PANELS
+        assert sum(sizes) >= nodes * 5093
 
     def test_smooth_gaussian(self):
         val = pv_integrate(lambda k: np.exp(-(k * k)) + 0j, [],
@@ -131,6 +160,47 @@ class TestCauchyReference:
                       limit=4 * int(k_hi * l0), epsabs=0.0, epsrel=1e-12)
         assert oracle_inverse_velocity(p, barrier, cfg) == pytest.approx(
             ref, rel=1e-9)
+
+
+class TestUnfoldedReference:
+    """The folded oracles against PV routes over the whole symmetric window."""
+
+    POINTS = [(0.3, 150.0), (1.1, 300.0), (1.1, 3000.0)]
+
+    @staticmethod
+    def _k_hi(k0, l0):
+        return k0 + max(QuadratureConfig().window_half_width, 40.0 * math.pi / l0)
+
+    @pytest.mark.parametrize("k0, l0", POINTS)
+    def test_folded_matches_pv_with_pole(self, barrier, k0, l0):
+        p, m, k_hi = Packet(k0, l0), barrier.mass, self._k_hi(k0, l0)
+
+        def pv(g):
+            return pv_integrate(g, [0.0], domain=(-k_hi, k_hi),
+                                oscillation_length=l0).real
+
+        v_inv = pv(lambda k: m / (2.0 * math.pi) * momentum_density(k - k0, p) / k)
+        t_tunnel = pv(lambda k: momentum_density(k - k0, p) / (2.0 * math.pi)
+                      * phase_time_grid(k, barrier))
+        assert oracle_inverse_velocity(p, barrier) == pytest.approx(v_inv, rel=1e-11)
+        assert oracle_tunneling_time(p, barrier) == pytest.approx(t_tunnel, rel=1e-11)
+
+    @pytest.mark.parametrize("k0, l0", POINTS)
+    def test_delay_B_pv_matches_fold(self, barrier, k0, l0):
+        # g(-k) = conj g(k), so the PV over [-k_hi, k_hi] is the ordinary
+        # integral of 2 Re g over [0, k_hi], whose integrand has no pole.
+        p, m, a, k_hi = Packet(k0, l0), barrier.mass, barrier.width, self._k_hi(k0, l0)
+
+        def two_re_g(k):
+            F_p, F_m, _, _ = amplitude_grid(k, barrier)
+            f_m, df_m = f_amp_and_deriv(k - k0, p, a)
+            f_p, df_p = f_amp_and_deriv(k + k0, p, a)
+            g = (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * (f_m * df_p - f_p * df_m)
+            return 2.0 * g.real
+
+        folded = pv_integrate(two_re_g, [], domain=(0.0, k_hi),
+                              oscillation_length=l0).real
+        assert oracle_delay_B(p, barrier) == pytest.approx(folded, rel=1e-11)
 
 
 class TestOracles:

@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from tunneltimes.errors import DomainError
-from tunneltimes.wavepacket import Packet, f_amp, f_amp_deriv, momentum_density
+from tunneltimes.wavepacket import (
+    Packet,
+    f_amp,
+    f_amp_and_deriv,
+    f_amp_deriv,
+    momentum_density,
+)
 
 A = 15.0
 
@@ -20,6 +26,17 @@ def test_packet_validation():
 def test_zero_offset_limit():
     p = Packet(1.0, 150.0)
     assert abs(f_amp(0.0, p, A)) == pytest.approx(math.sqrt(p.L0), rel=1e-12)
+
+
+def test_complex_offset_rejected():
+    p = Packet(1.0, 150.0)
+    with pytest.raises(DomainError):
+        f_amp_and_deriv(np.array([0.1, 0.2 + 1e-9j]), p, A)
+    with pytest.raises(DomainError):
+        f_amp(0.1 + 0.1j, p, A)
+    # a complex dtype with zero imaginary parts is still a real offset
+    f, df = f_amp_and_deriv(np.array([0.1 + 0j]), p, A)
+    assert (f[0], df[0]) == (f_amp(0.1, p, A), f_amp_deriv(0.1, p, A))
 
 
 def test_density_zero_at_recurrence():
@@ -76,6 +93,16 @@ def test_taylor_branch_continuity():
     outside = f_amp(q_hi, p, A)
     slope = f_amp_deriv(0.5 * (q_lo + q_hi), p, A)
     assert abs((outside - inside) - slope * (q_hi - q_lo)) < 1e-12 * abs(inside)
+
+
+def test_series_cut_continuity():
+    # S' switches from its series to (cos x - S)/x at |x| = |q| L0/2 = 0.5;
+    # 1e-14 either side the derivative may differ only by rounding
+    p = Packet(1.0, 150.0)
+    for x in (0.5, -0.5):
+        inside = f_amp_deriv(2.0 * x * (1.0 - 1e-14) / p.L0, p, A)
+        outside = f_amp_deriv(2.0 * x * (1.0 + 1e-14) / p.L0, p, A)
+        assert abs(outside - inside) < 1e-13 * abs(inside)
 
 
 def test_derivatives_match_finite_differences():
