@@ -11,17 +11,18 @@ estimated from a symmetric limit, c/(k - p) is subtracted over the whole
 window, the smooth remainder is integrated adaptively, and the exact PV of
 the subtracted term, c * ln((b-p)/(p-a)), is added back.
 
-Panels never exceed half an oscillation period pi/L0 of the exp(ikL0)
-factors. Each keeps the 21-point value of the embedded Gauss-Kronrod (10, 21)
-pair and is bisected until the two rules' disagreement fits the local share
-of the error budget. Refinement is level-synchronous, in the manner of
-scipy.integrate.quad_vec: all panels of one level are scored together, their
-21 nodes in one integrand call per block of at most _BLOCK_PANELS panels, and
-the rejected ones are bisected into the next level. Each level is charged to
-the panel budget before it is evaluated, so a refinement that cannot finish
-raises at once and names the level and k-interval where it stalled. Accepted
-panels are summed one by one in order of their left edge, the order of a
-depth-first walk, so results are bit-deterministic for a given configuration.
+First-level panels span at most two periods 4*pi/L of the fastest exp(ikL)
+content each oracle declares, so 10 Gauss nodes sample each period 5 times and
+the Gauss-Kronrod error estimate does not alias. Each keeps the 21-point value
+and is bisected until the two rules agree within the local error budget,
+level-synchronously as in scipy's quad_vec: all panels of one level are scored
+together, their 21 nodes in one integrand call per block of at most
+_BLOCK_PANELS panels, and the rejected ones are bisected into the next level.
+Each level is charged to the panel budget before it is evaluated, so a
+refinement that cannot finish raises at once and names the level and
+k-interval where it stalled. Accepted panels are summed one by one in order of
+their left edge, the order of a depth-first walk, so results are
+bit-deterministic for a given configuration.
 
 The truncation window is an absolute half-width around k0 (always covering a
 symmetric neighborhood of 0). Keeping it fixed as L0 grows makes the window
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
 from .phasetime import phase_time_grid
 from .scattering import Barrier, amplitude_grid
-from .wavepacket import Packet, f_amp_and_deriv, momentum_density
+from .wavepacket import Packet, momentum_density, sinc_and_deriv
 
 # The Gauss-Kronrod (10, 21) pair, copied from QUADPACK's qk21 table
 # (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer
@@ -140,8 +141,8 @@ def pv_integrate(
     domain : (lo, hi)
         Integration window.
     oscillation_length : float
-        Wavelength scale L of exp(ikL) content; panels are capped at half a
-        period pi/L. Zero disables the cap.
+        Fastest angular frequency L of exp(ikL) content; first-level panels
+        span at most two periods 4 pi/L. Zero disables the cap.
     residues : sequence of complex, optional
         Analytic residues; estimated numerically when omitted.
 
@@ -156,12 +157,11 @@ def pv_integrate(
     if not hi > lo:
         raise DomainError("empty integration domain")
     inside = [float(p) for p in poles if lo < p < hi]
+    cap = 4.0 * math.pi / oscillation_length if oscillation_length > 0.0 else math.inf
     if residues is None:
         res: list[complex] = []
         for p in inside:
-            gaps = [p - lo, hi - p] + [abs(p - q) for q in inside if q != p]
-            if oscillation_length > 0.0:
-                gaps.append(math.pi / oscillation_length)
+            gaps = [p - lo, hi - p, 0.25 * cap] + [abs(p - q) for q in inside if q != p]
             d = 1e-3 * min(gaps)
             # the symmetric limit d * (f(p + d) - f(p - d)) / 2
             f_pm = integrand(np.array([p + d, p - d]))
@@ -186,7 +186,6 @@ def pv_integrate(
 
     # Breakpoints at the poles keep every Gauss node strictly off them.
     edges = sorted({lo, hi, *inside})
-    cap = math.pi / oscillation_length if oscillation_length > 0.0 else math.inf
     lefts, rights = [], []
     for ea, eb in zip(edges[:-1], edges[1:]):
         n = max(1, math.ceil((eb - ea) / cap)) if math.isfinite(cap) else 16
@@ -289,10 +288,13 @@ def oracle_delay_B(
 ) -> float:
     """Direct PV evaluation of the oscillatory outside-the-barrier delay.
 
+    The packet bracket collapses to (L0^2/2) e^{i(a+L0)k} (S- S'+ - S+ S'-) at
+    x-+ = (k -+ k0) L0/2; with F+-, the fastest oscillation is e^{ik(2L0+a)}.
+
     Not folded, though g(-k) = conj g(k): the PV route with the pole at 0
     reports a vanishing barrier's |k| <~ m V a spike as NonConvergenceError.
     """
-    k0, m, a = packet.k0, barrier.mass, barrier.width
+    k0, m, a, L0 = packet.k0, barrier.mass, barrier.width, packet.L0
     if barrier.height * barrier.width == 0.0:
         # F+ + F- vanishes identically with no barrier; numerically the
         # integrand would be pure amplified rounding noise.
@@ -300,12 +302,12 @@ def oracle_delay_B(
 
     def g(k):
         F_p, F_m, _, _ = amplitude_grid(k, barrier)
-        f_m, df_m = f_amp_and_deriv(k - k0, packet, a)
-        f_p, df_p = f_amp_and_deriv(k + k0, packet, a)
-        bracket = f_m * df_p - f_p * df_m
-        return (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * bracket
+        s_m, ds_m = sinc_and_deriv(0.5 * L0 * (k - k0))
+        s_p, ds_p = sinc_and_deriv(0.5 * L0 * (k + k0))
+        w = (s_m * ds_p - s_p * ds_m) * np.exp(1j * (a + L0) * k) / k
+        return (0.25j * m * L0 * L0 / (2.0 * math.pi)) * (F_p + F_m) * w
 
     k_hi = _window_edge(packet, config)
     val = pv_integrate(g, [0.0], config, domain=(-k_hi, k_hi),
-                       oscillation_length=packet.L0)
+                       oscillation_length=2.0 * L0 + a)
     return _check_real(val, "outside-delay oracle")

@@ -9,7 +9,7 @@ momentum space the incoming state is f*(k - k0) with
 and the outgoing state is the same amplitude translated by L0 + a, i.e.
 times the phase e^{-i q (L0 + a)}. For real q this is the sinc form
 f*(q) = sqrt(L0) e^{i q (a + L0)/2} S(q L0 / 2) with S(x) = sin(x)/x, so one
-complex phase and one sin/cos pair give the amplitude and its derivative.
+complex phase and the real pair (S, S') of sinc_and_deriv give f* and f*'.
 The partner amplitude is f(q) = f*(-q) = conj(f*(q)), with derivative
 -f*'(-q). |f(q)|^2 = L0 sinc^2(q L0 / 2) integrates to 2*pi: unit norm.
 """
@@ -44,21 +44,27 @@ class Packet:
             raise DomainError(f"packet L0 must be > 0, got {self.L0}")
 
 
+def sinc_and_deriv(x):
+    """(S(x), S'(x)) as real arrays, S(x) = sin(x)/x and S'(x) = (cos x - S)/x."""
+    x = np.asarray(x, dtype=float)
+    s = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    small = np.abs(x) < _SERIES_CUT
+    ds = np.divide(np.cos(x) - s, x, out=np.empty_like(x), where=~small)
+    ds[small] = x[small] * np.polynomial.polynomial.polyval(x[small] ** 2, _DS_COEFFS)
+    return s, ds
+
+
 def f_amp_and_deriv(q, packet: Packet, barrier_width: float):
     """(f*(q), d f*/dq) as arrays at real offsets q = k - k0.
 
     With x = q L0/2, d f*/dq = sqrt(L0) e^{i q (a + L0)/2} (i (a + L0)/2 S(x)
-    + (L0/2) S'(x)) and S'(x) = (cos x - S(x))/x. DomainError for a q with a
-    nonzero imaginary part.
+    + (L0/2) S'(x)). DomainError for a q with a nonzero imaginary part.
     """
     q = np.atleast_1d(q)
     if np.any(np.imag(q)):
         raise DomainError("packet amplitude needs real offsets q, got a complex q")
     q, L0, a = np.real(q), packet.L0, barrier_width
-    x = 0.5 * L0 * q
-    s = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-    series = x * np.polynomial.polynomial.polyval(x * x, _DS_COEFFS)
-    ds = np.divide(np.cos(x) - s, x, out=series, where=np.abs(x) >= _SERIES_CUT)
+    s, ds = sinc_and_deriv(0.5 * L0 * q)
     phase = math.sqrt(L0) * np.exp(0.5j * (a + L0) * q)
     return phase * s, phase * (0.5j * (a + L0) * s + 0.5 * L0 * ds)
 

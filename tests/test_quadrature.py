@@ -69,8 +69,10 @@ class TestPvIntegrate:
         assert abs(val - 1j * math.pi) < 2.5 / (K * L)
 
     def test_oscillatory_cauchy_kernel_in_blocks(self):
-        # 2K/(pi/L) = 5093 first-level panels: more than one block each level
-        L, K = 200.0, 40.0
+        # first-level panels span at most two periods 4 pi/L: 2 * 2547 = 5094
+        # of them, more than one block each level
+        L, K = 800.0, 40.0
+        first_level = 2 * math.ceil(K / (4.0 * math.pi / L))
         sizes = []
 
         def f(k):
@@ -83,7 +85,7 @@ class TestPvIntegrate:
         assert abs(val - 1j * math.pi) < 2.5 / (K * L)
         nodes = quadrature._X21.size
         assert max(sizes) <= nodes * quadrature._BLOCK_PANELS
-        assert sum(sizes) >= nodes * 5093
+        assert sum(sizes) >= nodes * first_level
 
     def test_smooth_gaussian(self):
         val = pv_integrate(lambda k: np.exp(-(k * k)) + 0j, [],
@@ -201,6 +203,88 @@ class TestUnfoldedReference:
         folded = pv_integrate(two_re_g, [], domain=(0.0, k_hi),
                               oscillation_length=l0).real
         assert oracle_delay_B(p, barrier) == pytest.approx(folded, rel=1e-11)
+
+
+def _delay_B_amplitude_form(k, p, barrier):
+    """The delay-B integrand with the packet bracket from f_amp_and_deriv."""
+    F_p, F_m, _, _ = amplitude_grid(k, barrier)
+    f_m, df_m = f_amp_and_deriv(k - p.k0, p, barrier.width)
+    f_p, df_p = f_amp_and_deriv(k + p.k0, p, barrier.width)
+    bracket = f_m * df_p - f_p * df_m
+    return (0.5j / (2.0 * math.pi)) * (barrier.mass / k) * (F_p + F_m) * bracket
+
+
+class TestDelayBBracket:
+    """The collapsed delay-B integrand against the f_amp_and_deriv bracket."""
+
+    @pytest.mark.parametrize("k0", [0.3, 1.1, 2.0 * math.pi / 150.0])
+    def test_collapsed_integrand_matches_amplitude_form(self, barrier, monkeypatch, k0):
+        p = Packet(k0, 150.0)
+        seen = []
+        monkeypatch.setattr(quadrature, "pv_integrate",
+                            lambda g, *args, **kwargs: seen.append(g) or 0j)
+        oracle_delay_B(p, barrier)
+        # x = (k -+ k0) L0/2 inside the S' series region and at the sinc zero
+        # x = pi, the two-pi node q = 2 pi/L0
+        x = np.concatenate([np.linspace(-0.6, 0.6, 49), [math.pi, -math.pi]])
+        k = np.concatenate([k0 + 2.0 * x / p.L0, -k0 + 2.0 * x / p.L0])
+        k = k[k != 0.0]  # the pole, at x = -+pi when k0 L0 = 2 pi
+        ref = _delay_B_amplitude_form(k, p, barrier)
+        got = seen[0](k)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+class TestLargeL0:
+    """Panels of two periods of the declared frequency reach large L0."""
+
+    def test_delay_B_converges_at_15000(self, barrier):
+        p = Packet(1.1, 15000.0)
+        assert oracle_delay_B(p, barrier) == pytest.approx(
+            age_difference(p, barrier).dtau_B, abs=1e-9)
+
+    @pytest.mark.parametrize("oracle, field", [
+        (oracle_inverse_velocity, "v_inv"), (oracle_tunneling_time, "t_tunnel")])
+    def test_folded_oracles_converge_at_40000(self, barrier, oracle, field):
+        def gap(l0):
+            p = Packet(1.1, l0)
+            return abs(oracle(p, barrier) - getattr(age_difference(p, barrier), field))
+
+        assert gap(40000.0) < gap(3000.0)
+
+    def test_delay_B_raises_at_level_0_at_40000(self, barrier):
+        with pytest.raises(NonConvergenceError, match="refinement level 0:"):
+            oracle_delay_B(Packet(1.1, 40000.0), barrier)
+
+
+class TestScipyReference:
+    """QUADPACK's QAGS on the pole-free integrands at the hardest points."""
+
+    @staticmethod
+    def _quad(f, k0, l0):
+        k_hi = k0 + max(QuadratureConfig().window_half_width, 40.0 * math.pi / l0)
+        val, _ = quad(lambda k: float(f(np.array([k]))[0]), 0.0, k_hi,
+                      limit=int(8 * k_hi * l0), epsabs=0.0, epsrel=1e-13,
+                      points=[k0])
+        return val
+
+    def test_tunneling_time_folded(self, barrier):
+        k0, l0 = 0.5, 40.0
+        p = Packet(k0, l0)
+
+        def g(k):
+            rho = momentum_density(k - k0, p) - momentum_density(k + k0, p)
+            return rho * phase_time_grid(k, barrier) / (2.0 * math.pi)
+
+        assert oracle_tunneling_time(p, barrier) == pytest.approx(
+            self._quad(g, k0, l0), rel=1e-7)
+
+    def test_delay_B_fold(self, barrier):
+        # g(-k) = conj g(k): the PV is the integral of 2 Re g over k > 0
+        k0, l0 = 0.01, 150.0
+        p = Packet(k0, l0)
+        fold = self._quad(lambda k: 2.0 * _delay_B_amplitude_form(k, p, barrier).real,
+                          k0, l0)
+        assert oracle_delay_B(p, barrier) == pytest.approx(fold, rel=1e-8)
 
 
 class TestOracles:

@@ -85,14 +85,13 @@ def test_density_explicit_formula():
 
 
 def test_taylor_branch_continuity():
-    # crossing the series cutoff changes the value only by the genuine slope
+    # either side of the S' series cutoff |x| = |q| L0/2 = 0.5, the derivative
+    # matches a central difference of the amplitude
     p = Packet(1.0, 150.0)
-    q_lo = 0.9e-6 / p.L0
-    q_hi = 1.1e-6 / p.L0
-    inside = f_amp(q_lo, p, A)
-    outside = f_amp(q_hi, p, A)
-    slope = f_amp_deriv(0.5 * (q_lo + q_hi), p, A)
-    assert abs((outside - inside) - slope * (q_hi - q_lo)) < 1e-12 * abs(inside)
+    h = 1e-5 / p.L0
+    for q in (0.9 / p.L0, 1.1 / p.L0, -0.9 / p.L0, -1.1 / p.L0):
+        fd = (f_amp(q + h, p, A) - f_amp(q - h, p, A)) / (2.0 * h)
+        assert f_amp_deriv(q, p, A) == pytest.approx(fd, rel=1e-8)
 
 
 def test_series_cut_continuity():
