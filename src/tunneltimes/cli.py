@@ -34,7 +34,6 @@ from .errors import (
 from .phasetime import phase_time, phase_time_grid
 from .propagator import empirical_delay, grid_errors
 from .quadrature import (
-    QuadratureConfig,
     oracle_delay_B,
     oracle_inverse_velocity,
     oracle_tunneling_time,
@@ -209,7 +208,6 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
     l0s = sorted(cfg["L0"])
-    qcfg = QuadratureConfig()
     report: dict = {"units": "natural, hbar=1", "barrier": {
         "a": barrier.width, "m": barrier.mass, "two_mV": barrier.l0_sq},
         "rows": [], "gap_ratios": []}
@@ -233,7 +231,7 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                 for name, closed, oracle_fn, tol in checks:
                     note = ""
                     try:
-                        oracle = oracle_fn(packet, barrier, qcfg)
+                        oracle = oracle_fn(packet, barrier)
                         gap = abs(closed - oracle)
                         ok = gap <= tol
                     except NonConvergenceError as exc:

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, ValidityWarning
 from .phasetime import k_tau_limit, phase_time_grid
 from .scattering import Barrier
-from .wavepacket import Packet
+from .wavepacket import Packet, sinc
 
 VALIDITY_THRESHOLD = 50.0
 
@@ -70,10 +70,6 @@ class TimeBudget:
     valid: bool
 
 
-def _sinc(x):
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
 def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     """The budget from shared subexpressions, broadcast over k0 and L0.
 
@@ -90,7 +86,7 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     if np.any(L0 <= 0.0):
         raise DomainError(f"needs L0 > 0, got {L0.min()}")
     x = k0 * L0
-    v = (m / k0) * (1.0 - _sinc(x))
+    v = (m / k0) * (1.0 - sinc(x))
     tau = phase_time_grid(k0, barrier)
     if barrier.height * barrier.width == 0.0:
         t_tun = a * v
@@ -99,7 +95,7 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
         bp_outside = t_out - (m / k0) * L0
     else:
         bp_tunnel = -np.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
-        half = _sinc(x / 2.0)
+        half = sinc(x / 2.0)
         bp_outside = -(m / k0) * L0 * half * half
         t_tun = tau + bp_tunnel
         t_out = (m / k0) * L0 + bp_outside

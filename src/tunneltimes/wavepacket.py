@@ -38,16 +38,22 @@ class Packet:
     L0: float
 
     def __post_init__(self):
-        if self.k0 <= 0.0:
-            raise DomainError(f"packet k0 must be > 0, got {self.k0}")
-        if self.L0 <= 0.0:
-            raise DomainError(f"packet L0 must be > 0, got {self.L0}")
+        if not (math.isfinite(self.k0) and self.k0 > 0.0):
+            raise DomainError(f"packet k0 must be finite and > 0, got {self.k0}")
+        if not (math.isfinite(self.L0) and self.L0 > 0.0):
+            raise DomainError(f"packet L0 must be finite and > 0, got {self.L0}")
+
+
+def sinc(x):
+    """S(x) = sin(x)/x as a real array, equal to 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def sinc_and_deriv(x):
     """(S(x), S'(x)) as real arrays, S(x) = sin(x)/x and S'(x) = (cos x - S)/x."""
     x = np.asarray(x, dtype=float)
-    s = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    s = sinc(x)
     small = np.abs(x) < _SERIES_CUT
     ds = np.divide(np.cos(x) - s, x, out=np.empty_like(x), where=~small)
     ds[small] = x[small] * np.polynomial.polynomial.polyval(x[small] ** 2, _DS_COEFFS)
@@ -83,7 +89,6 @@ def f_amp_deriv(q, packet: Packet, barrier_width: float):
 
 def momentum_density(q, packet: Packet):
     """|f(q)|^2 = L0 sinc^2(q L0 / 2); (1/2 pi) * its integral over q is 1."""
-    q = np.asarray(q, dtype=float)
-    s = np.sinc(q * packet.L0 / (2.0 * math.pi))
+    s = sinc(0.5 * packet.L0 * np.asarray(q, dtype=float))
     val = packet.L0 * s * s
     return float(val) if val.ndim == 0 else val

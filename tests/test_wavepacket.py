@@ -11,6 +11,7 @@ from tunneltimes.wavepacket import (
     f_amp_and_deriv,
     f_amp_deriv,
     momentum_density,
+    sinc,
 )
 
 A = 15.0
@@ -21,6 +22,10 @@ def test_packet_validation():
         Packet(0.0, 150.0)
     with pytest.raises(DomainError):
         Packet(1.0, -1.0)
+    for k0, l0 in [(math.nan, 150.0), (math.inf, 150.0), (1.0, math.inf),
+                   (1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            Packet(k0, l0)
 
 
 def test_zero_offset_limit():
@@ -113,3 +118,9 @@ def test_derivatives_match_finite_differences():
         # the partner f(q) = f*(-q) has derivative -f*'(-q)
         fd_c = (f_amp(-(q0 + h), p, A) - f_amp(-(q0 - h), p, A)) / (2.0 * h)
         assert -f_amp_deriv(-q0, p, A) == pytest.approx(fd_c, rel=2e-6)
+
+
+def test_sinc_kernel():
+    x = np.array([-7.5, -1e-9, 0.0, 1e-9, 0.3, math.pi, 40.0])
+    np.testing.assert_allclose(sinc(x), np.sinc(x / math.pi), rtol=1e-14, atol=1e-16)
+    assert sinc(0.0) == 1.0
