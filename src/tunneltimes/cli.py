@@ -31,7 +31,6 @@ from .errors import (
     PoleProximityError,
     ValidityWarning,
 )
-from .phasetime import phase_time, phase_time_grid
 from .propagator import empirical_delay, grid_errors
 from .quadrature import (
     oracle_delay_B,
@@ -171,17 +170,14 @@ SWEEP_COLUMNS = [
 def _closed_grid(cfg: dict, barrier: Barrier, l0s):
     """k0 grid and the closed-form budget over k0 (rows) x l0s (columns)."""
     k0s = _k0_grid(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        return k0s, budget_grid(k0s[:, None], l0s, barrier)
+    return k0s, budget_grid(k0s[:, None], l0s, barrier)
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
     k0s, tb = _closed_grid(cfg, barrier, sorted(cfg["L0"]))
-    tau = phase_time_grid(k0s, barrier)[:, None]
     _write_csv(cfg["out"], _param_comment(cfg, barrier), SWEEP_COLUMNS, [
-        tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tau,
+        tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tb.tau_ph,
         tb.t_tunnel, tb.t_outside, tb.t_age, tb.t0, tb.dtau_A, tb.dtau_B,
         tb.bp_tunnel_term, tb.bp_outside_term, tb.validity_ratio,
     ])
@@ -212,53 +208,50 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
         "a": barrier.width, "m": barrier.mass, "two_mV": barrier.l0_sq},
         "rows": [], "gap_ratios": []}
     all_pass = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        gaps: dict = {}
-        for k0 in cfg["k0_list"]:
-            tau = phase_time(k0, barrier)
-            for l0 in l0s:
-                packet = Packet(k0, l0)
-                tb = age_difference(packet, barrier)
-                checks = [
-                    ("v_inv", tb.v_inv, oracle_inverse_velocity,
-                     1e-3 * abs(tb.v_inv)),
-                    ("t_tunnel", tb.t_tunnel, oracle_tunneling_time,
-                     0.05 * abs(tau)),
-                    ("dtau_B", tb.dtau_B, oracle_delay_B,
-                     0.05 * barrier.mass / k0 ** 2),
-                ]
-                for name, closed, oracle_fn, tol in checks:
-                    note = ""
-                    try:
-                        oracle = oracle_fn(packet, barrier)
-                        gap = abs(closed - oracle)
-                        ok = gap <= tol
-                    except NonConvergenceError as exc:
-                        # unresolvable structure (e.g. the near-branch-point
-                        # pole of a vanishing barrier) counts as a failure;
-                        # the message names where refinement stalled
-                        oracle = None
-                        gap = None
-                        ok = False
-                        note = str(exc)
-                    all_pass = all_pass and ok
-                    gaps[(name, k0, l0)] = gap
-                    report["rows"].append({
-                        "quantity": name, "k0": k0, "L0": l0,
-                        "closed": closed, "oracle": oracle, "gap": gap,
-                        "tolerance": tol, "pass": ok, "note": note,
-                        "validity_ratio": tb.validity_ratio,
-                        "validity_warning": not tb.valid,
-                    })
-        for (name, k0, l0), gap in sorted(gaps.items()):
-            l0_double = 2.0 * l0
-            gap_d = gaps.get((name, k0, l0_double))
-            if gap and gap_d is not None:
-                report["gap_ratios"].append({
-                    "quantity": name, "k0": k0, "L0_pair": [l0, l0_double],
-                    "ratio": gap_d / gap,
+    gaps: dict = {}
+    for k0 in cfg["k0_list"]:
+        for l0 in l0s:
+            packet = Packet(k0, l0)
+            tb = age_difference(packet, barrier)
+            checks = [
+                ("v_inv", tb.v_inv, oracle_inverse_velocity,
+                 1e-3 * abs(tb.v_inv)),
+                ("t_tunnel", tb.t_tunnel, oracle_tunneling_time,
+                 0.05 * abs(tb.tau_ph)),
+                ("dtau_B", tb.dtau_B, oracle_delay_B,
+                 0.05 * barrier.mass / k0 ** 2),
+            ]
+            for name, closed, oracle_fn, tol in checks:
+                note = ""
+                try:
+                    oracle = oracle_fn(packet, barrier)
+                    gap = abs(closed - oracle)
+                    ok = gap <= tol
+                except NonConvergenceError as exc:
+                    # unresolvable structure (e.g. the near-branch-point
+                    # pole of a vanishing barrier) counts as a failure;
+                    # the message names where refinement stalled
+                    oracle = None
+                    gap = None
+                    ok = False
+                    note = str(exc)
+                all_pass = all_pass and ok
+                gaps[(name, k0, l0)] = gap
+                report["rows"].append({
+                    "quantity": name, "k0": k0, "L0": l0,
+                    "closed": closed, "oracle": oracle, "gap": gap,
+                    "tolerance": tol, "pass": ok, "note": note,
+                    "validity_ratio": tb.validity_ratio,
+                    "validity_warning": not tb.valid,
                 })
+    for (name, k0, l0), gap in sorted(gaps.items()):
+        l0_double = 2.0 * l0
+        gap_d = gaps.get((name, k0, l0_double))
+        if gap and gap_d is not None:
+            report["gap_ratios"].append({
+                "quantity": name, "k0": k0, "L0_pair": [l0, l0_double],
+                "ratio": gap_d / gap,
+            })
     report["all_pass"] = all_pass
     _write_json(cfg["out"], report)
     return 0 if all_pass else 4
@@ -305,28 +298,26 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
     rows = []
     sidecar = {"detector_x": detector, "L0": l0, "grids": {}}
     starved = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        for k0 in cfg["k0_list"]:
-            packet = Packet(k0, l0)
-            tb = age_difference(packet, barrier)
-            try:
-                delay, rec, _ = empirical_delay(packet, barrier, detector)
-            except InsufficientFluxError:
-                starved += 1
-                continue
-            rows.append([k0, delay, tb.dtau_A + tb.dtau_B,
-                         rec.transmitted_fraction])
-            spec = rec.spec
-            cn_error, lattice_error = grid_errors(packet, barrier, spec)
-            sidecar["grids"][_fmt(k0)] = {
-                "x_min": spec.x_min, "x_max": spec.x_max, "dx": spec.dx,
-                "dt": spec.dt, "n_steps": rec.n_steps,
-                "norm_drift": rec.norm_drift,
-                "wall_probability": rec.wall_probability,
-                "cn_phase_error": cn_error,
-                "lattice_dispersion_error": lattice_error,
-            }
+    for k0 in cfg["k0_list"]:
+        packet = Packet(k0, l0)
+        tb = age_difference(packet, barrier)
+        try:
+            delay, rec, _ = empirical_delay(packet, barrier, detector)
+        except InsufficientFluxError:
+            starved += 1
+            continue
+        rows.append([k0, delay, tb.dtau_A + tb.dtau_B,
+                     rec.transmitted_fraction])
+        spec = rec.spec
+        cn_error, lattice_error = grid_errors(packet, barrier, spec)
+        sidecar["grids"][_fmt(k0)] = {
+            "x_min": spec.x_min, "x_max": spec.x_max, "dx": spec.dx,
+            "dt": spec.dt, "n_steps": rec.n_steps,
+            "norm_drift": rec.norm_drift,
+            "wall_probability": rec.wall_probability,
+            "cn_phase_error": cn_error,
+            "lattice_dispersion_error": lattice_error,
+        }
     if starved == len(cfg["k0_list"]):
         raise InsufficientFluxError("no requested k0 produced measurable flux")
     _write_csv(cfg["out"], _param_comment(cfg, barrier),
@@ -401,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(load_config(args), args)
+        with warnings.catch_warnings():
+            # closed forms past the validity gate are still written
+            warnings.simplefilter("ignore", ValidityWarning)
+            return args.func(load_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

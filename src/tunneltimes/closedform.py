@@ -9,7 +9,7 @@ subexpressions so the two decompositions
 agree to rounding. One array kernel evaluates them: budget_grid() over a
 whole (k0, L0) grid, age_difference() for one packet as Python scalars.
 Every quantity is a field of the returned TimeBudget. The building blocks,
-with x = k0 * L0:
+with x = k0 * L0 and the phase time tau_ph(k0):
 
     v_inv     = (m/k0) (1 - sin(x)/x)                     average slowness
     t0        = (L0 + a) v_inv                            no-barrier age difference
@@ -57,6 +57,7 @@ class TimeBudget:
 
     k0: float
     L0: float
+    tau_ph: float
     v_inv: float
     t0: float
     dtau_A: float
@@ -102,10 +103,11 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     a_v = a * v
     l_v = L0 * v
     ratio = barrier.mass * barrier.height * barrier.width * L0
-    k0, L0, ratio = np.broadcast_arrays(k0, L0, ratio)
+    k0, L0, tau, ratio = np.broadcast_arrays(k0, L0, tau, ratio)
     return TimeBudget(
         k0=k0,
         L0=L0,
+        tau_ph=tau,
         v_inv=v,
         t0=a_v + l_v,
         dtau_A=t_tun - a_v,

@@ -45,7 +45,8 @@ def phase_time_grid(k, barrier: Barrier):
     """Vectorized closed-form phase time; defined for any real k != 0.
 
     Odd in k: tau_ph(-k) = -tau_ph(k). With no barrier (V*a = 0) the
-    transmission phase is exactly k*a and tau_ph = m a / k.
+    transmission phase is exactly k*a and tau_ph = m a / k. Where the closed
+    form overflows (kappa a >~ 345) it returns the Hartman limit 2m/(k kappa).
     """
     k = np.asarray(k, dtype=float)
     if np.any(k == 0.0):
@@ -55,10 +56,17 @@ def phase_time_grid(k, barrier: Barrier):
         return m * a / k
     l0_sq = barrier.l0_sq
     u = l0_sq - k * k
-    num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)
-    s = sinhc_w(a * a * u)
-    den = l0_sq**2 * a * a * s * s + 4.0 * k * k
-    return (m / k) * num / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)
+        s = sinhc_w(a * a * u)
+        den = l0_sq**2 * a * a * s * s + 4.0 * k * k
+        tau = (m / k) * num / den
+        thick = ~(np.isfinite(tau) & np.isfinite(den))
+        if thick.any():
+            # e^{2 kappa a} overflows there, and tau_ph has long reached
+            # the Hartman limit 2m/(k kappa)
+            tau = np.where(thick, 2.0 * m / (k * np.sqrt(np.where(thick, u, 1.0))), tau)
+    return tau
 
 
 def phase_time(k: float, barrier: Barrier) -> float:

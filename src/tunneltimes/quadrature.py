@@ -6,18 +6,19 @@ The 1/k branch point at k = 0 makes each a principal value (PV). For the
 inverse velocity and the tunneling time, rho(k - k0) times a function odd in
 k, the PV folds onto the pole-free integral over [0, k_hi] of
 (rho(k - k0) - rho(k + k0)) times that function. The outside delay's PV is
-taken by analytic subtraction: the residue c of each declared simple pole is
-estimated from a symmetric limit, c/(k - p) is subtracted over the whole
-window, the smooth remainder is integrated adaptively, and the exact PV of
-the subtracted term, c * ln((b-p)/(p-a)), is added back.
+taken by analytic subtraction: the residue c of its one simple pole, at
+p = 0, is estimated from a symmetric limit, c/(k - p) is subtracted over the
+whole window, the smooth remainder is integrated adaptively, and the exact PV
+of the subtracted term, c * ln((b-p)/(p-a)), is added back.
 
-First-level panels span at most two periods 4*pi/L of the fastest exp(ikL)
-content each oracle declares, so 10 Gauss nodes sample each period 5 times and
-the Gauss-Kronrod error estimate does not alias. Each keeps the 21-point value
-and is bisected until the two rules agree within the local error budget,
-level-synchronously as in scipy's quad_vec: all panels of one level are scored
-together, their 21 nodes in one integrand call per block of at most
-_BLOCK_PANELS panels, and the rejected ones are bisected into the next level.
+Every oracle must declare the fastest exp(ikL) content of its integrand, and
+first-level panels span at most two periods 4*pi/L of it, so 10 Gauss nodes
+sample each period 5 times and the Gauss-Kronrod error estimate does not
+alias. Each keeps the 21-point value and is bisected until the two rules agree
+within the local error budget, level-synchronously as in scipy's quad_vec: all
+panels of one level are scored together, their 21 nodes in one integrand call
+per block of at most _BLOCK_PANELS panels, and the rejected ones are bisected
+into the next level.
 Each level is charged to the panel budget before it is evaluated, so a
 refinement that cannot finish raises at once and names the level and
 k-interval where it stalled. The accepted 21-point values are summed by one
@@ -120,11 +121,11 @@ def _score(f_eval, a, b):
 
 def pv_integrate(
     integrand,
-    poles,
+    pole,
     config: QuadratureConfig = DEFAULT_CONFIG,
     *,
     domain: tuple[float, float],
-    oscillation_length: float = 0.0,
+    oscillation_length: float,
 ) -> complex:
     """Principal-value integral of a vectorized integrand over a window.
 
@@ -132,23 +133,22 @@ def pv_integrate(
     ----------
     integrand : callable
         Maps an ndarray of real abscissas to complex values. Smooth on the
-        domain except for the declared simple poles.
-    poles : sequence of float
-        Real locations of the simple poles. Poles outside the open domain are
-        ignored.
+        domain except for a simple pole at `pole`.
+    pole : float or None
+        Real location of the one simple pole; None, or a pole outside the
+        open domain, means none.
     config : QuadratureConfig
     domain : (lo, hi)
         Integration window.
     oscillation_length : float
-        Fastest angular frequency L of exp(ikL) content; first-level panels
-        span at most two periods 4 pi/L. Zero disables the cap.
-
-    Each pole's residue is estimated from a symmetric limit and subtracted;
-    the accepted panels' 21-point values are summed by one np.sum in level
-    order.
+        Fastest angular frequency L > 0 of exp(ikL) content; first-level
+        panels span at most two periods 4 pi/L. Required, since panels wider
+        than a period alias the Gauss-Kronrod error estimate.
 
     Raises
     ------
+    DomainError
+        If the domain is empty or oscillation_length is not finite and > 0.
     NonConvergenceError
         If the next refinement level would overrun config.max_panels. The
         message names the level, its unresolved panels and the k-interval
@@ -157,40 +157,33 @@ def pv_integrate(
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise DomainError("empty integration domain")
-    inside = [float(p) for p in poles if lo < p < hi]
-    cap = 4.0 * math.pi / oscillation_length if oscillation_length > 0.0 else math.inf
-    res: list[complex] = []
-    for p in inside:
-        gaps = [p - lo, hi - p, 0.25 * cap] + [abs(p - q) for q in inside if q != p]
-        d = 1e-3 * min(gaps)
+    if not 0.0 < oscillation_length < math.inf:
+        raise DomainError(
+            f"oscillation_length must be finite and > 0, got {oscillation_length}")
+    cap = 4.0 * math.pi / oscillation_length
+    p = float(pole) if pole is not None and lo < pole < hi else None
+    if p is not None:
+        d = 1e-3 * min(p - lo, hi - p, 0.25 * cap)
         # the symmetric limit d * (f(p + d) - f(p - d)) / 2
         f_pm = integrand(np.array([p + d, p - d]))
-        res.append(complex(0.5 * d * (f_pm[0] - f_pm[1])))
+        c = complex(0.5 * d * (f_pm[0] - f_pm[1]))
 
     def f_eval(k):
         # gross tracks the magnitudes before the pole subtraction cancels
         # them; it sets the rounding floor of the remainder.
         vals = np.asarray(integrand(k), dtype=complex)
         gross = np.abs(vals)
-        for p, c in zip(inside, res):
+        if p is not None:
             term = c / (k - p)
             vals = vals - term
             gross = gross + np.abs(term)
         return vals, gross
 
-    analytic = sum(
-        c * math.log((hi - p) / (p - lo)) for p, c in zip(inside, res)
-    )
-
-    # Breakpoints at the poles keep every Gauss node strictly off them.
-    edges = sorted({lo, hi, *inside})
-    lefts, rights = [], []
-    for ea, eb in zip(edges[:-1], edges[1:]):
-        n = max(1, math.ceil((eb - ea) / cap)) if math.isfinite(cap) else 16
-        pts = np.linspace(ea, eb, n + 1)
-        lefts.append(pts[:-1])
-        rights.append(pts[1:])
-    a, b = np.concatenate(lefts), np.concatenate(rights)
+    # A breakpoint at the pole keeps every Gauss node strictly off it.
+    edges = [lo, hi] if p is None else [lo, p, hi]
+    pts = [np.linspace(ea, eb, max(1, math.ceil((eb - ea) / cap)) + 1)
+           for ea, eb in zip(edges[:-1], edges[1:])]
+    a, b = np.concatenate([x[:-1] for x in pts]), np.concatenate([x[1:] for x in pts])
 
     width_total = hi - lo
     used = 0
@@ -224,7 +217,8 @@ def pv_integrate(
         a, b = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()
         level += 1
 
-    return complex(np.sum(np.concatenate(accepted))) + analytic
+    total = complex(np.sum(np.concatenate(accepted)))
+    return total if p is None else total + c * math.log((hi - p) / (p - lo))
 
 
 def _check_real(value: complex, what: str) -> float:
@@ -254,7 +248,7 @@ def _folded_pv(odd, packet: Packet, config: QuadratureConfig) -> float:
         rho = momentum_density(k - k0, packet) - momentum_density(k + k0, packet)
         return rho * odd(k)
 
-    return pv_integrate(g, [], config, domain=(0.0, _window_edge(packet)),
+    return pv_integrate(g, None, config, domain=(0.0, _window_edge(packet)),
                         oscillation_length=packet.L0).real
 
 
@@ -299,6 +293,6 @@ def oracle_delay_B(
         return (0.25j * m * L0 * L0 / (2.0 * math.pi)) * (F_p + F_m) * w
 
     k_hi = _window_edge(packet)
-    val = pv_integrate(g, [0.0], config, domain=(-k_hi, k_hi),
+    val = pv_integrate(g, 0.0, config, domain=(-k_hi, k_hi),
                        oscillation_length=2.0 * L0 + a)
     return _check_real(val, "outside-delay oracle")

@@ -63,6 +63,8 @@ class Barrier:
             raise DomainError(f"barrier width must be >= 0, got {self.width}")
         if self.mass <= 0.0:
             raise DomainError(f"mass must be > 0, got {self.mass}")
+        if not math.isfinite(self.l0_sq):
+            raise DomainError(f"2mV overflows for V = {self.height}, m = {self.mass}")
 
     @property
     def l0_sq(self) -> float:

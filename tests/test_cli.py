@@ -90,6 +90,14 @@ class TestSweep:
         assert 0 < len(grid_calls) <= 3
         assert scalar_calls == []
 
+    def test_thick_barrier_writes_no_nan(self, tmp_path):
+        # kappa a > 355 at small k0: sinh(2 kappa a) overflows there
+        out = tmp_path / "thick.csv"
+        assert main(["sweep", "--a", "400", "--k0-max", "0.1",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(math.isfinite(x) for row in rows for x in row)
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k0_min": 0.2, "k0_max": 0.4,
@@ -406,6 +414,15 @@ class TestOracleCompare:
         for row in stalled:
             assert "refinement level" in row["note"]
             assert "max_panels=" in row["note"]
+
+
+    def test_overflowing_two_mv_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "oc.json"
+        code = main(["oracle-compare", "--height", "1e308", "--mass", "10",
+                     "--out", str(out)])
+        assert code == 3
+        assert "2mV overflows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResonancesCmd:

@@ -60,6 +60,25 @@ def test_fd_route_on_thick_and_high_barriers(two_mv, a):
     assert np.max(np.abs(fd - closed) / np.abs(closed)) < 1e-6
 
 
+@pytest.mark.parametrize("a", [400.0, 800.0])
+def test_thick_barrier_reaches_hartman_limit(a):
+    # sinh(2 kappa a) overflows past kappa a ~ 355; the closed form must
+    # answer with the Hartman limit 2m/(k kappa) there, not NaN
+    b = Barrier.from_two_mv(1.0, a)
+    for k in [0.01, 0.1, 0.5, 0.9]:
+        assert phase_time(k, b) == pytest.approx(phase_time_fd(k, b), rel=1e-9)
+
+
+def test_tall_thin_barrier_does_not_collapse_to_zero():
+    # here only the denominator l0^4 a^2 Sc^2 overflows (kappa a ~ 346), which
+    # made the closed form 0; the difference route loses digits to the
+    # cancellation of a against the phase slope, hence rel 1e-6
+    b = Barrier.from_two_mv(1e10, 3.465e-3)
+    ks = np.array([0.01, 1.0, 100.0])
+    fd = [phase_time_fd(float(k), b) for k in ks]
+    np.testing.assert_allclose(phase_time_grid(ks, b), fd, rtol=1e-6)
+
+
 def test_resonance_region_delayed(barrier):
     # around k = 1.1 the phase time far exceeds the free traversal time
     assert phase_time(1.1, barrier) > 2.0 * 15.0 / 1.1

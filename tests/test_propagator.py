@@ -410,8 +410,15 @@ class TestConcurrentRuns:
         monkeypatch.setattr(propagator, "_stepper", stepping)
         before = threading.active_count()
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 200_000)
+        # A process started with SIGINT ignored (a background job of a
+        # non-interactive shell) never gets Python's default handler, so
+        # the signal would not become a KeyboardInterrupt.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                empirical_delay(Packet(1.0, 30.0), barrier, 25.0, SMALL, 200_000)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert time.perf_counter() - start < 3.0
         assert [type(e) for e in free_ended] == [propagator._Stopped]
         assert threading.active_count() == before

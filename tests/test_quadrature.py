@@ -56,14 +56,14 @@ class TestKronrodRule:
 
 class TestPvIntegrate:
     def test_odd_integrand_vanishes(self):
-        val = pv_integrate(lambda k: 1.0 / k + 0j, [0.0],
-                           domain=(-2.0, 2.0))
+        val = pv_integrate(lambda k: 1.0 / k + 0j, 0.0,
+                           domain=(-2.0, 2.0), oscillation_length=1.0)
         assert abs(val) < 1e-12
 
     def test_oscillatory_cauchy_kernel(self):
         # PV int e^{ikL}/k over [-K, K] equals 2i Si(KL); -> i pi as K grows
         L, K = 10.0, 40.0
-        val = pv_integrate(lambda k: np.exp(1j * k * L) / k, [0.0],
+        val = pv_integrate(lambda k: np.exp(1j * k * L) / k, 0.0,
                            domain=(-K, K), oscillation_length=L)
         expect = 2j * sici(K * L)[0]
         assert val == pytest.approx(expect, abs=1e-6)
@@ -80,7 +80,7 @@ class TestPvIntegrate:
             sizes.append(k.size)
             return np.exp(1j * k * L) / k
 
-        val = pv_integrate(f, [0.0], domain=(-K, K), oscillation_length=L)
+        val = pv_integrate(f, 0.0, domain=(-K, K), oscillation_length=L)
         expect = 2j * sici(K * L)[0]
         assert val == pytest.approx(expect, abs=1e-6)
         assert abs(val - 1j * math.pi) < 2.5 / (K * L)
@@ -89,16 +89,16 @@ class TestPvIntegrate:
         assert sum(sizes) >= nodes * first_level
 
     def test_smooth_gaussian(self):
-        val = pv_integrate(lambda k: np.exp(-(k * k)) + 0j, [],
-                           domain=(-6.0, 6.0))
+        val = pv_integrate(lambda k: np.exp(-(k * k)) + 0j, None,
+                           domain=(-6.0, 6.0), oscillation_length=1.0)
         expect, _ = quad(lambda k: math.exp(-k * k), -6.0, 6.0)
         assert val.real == pytest.approx(expect, rel=1e-9)
         assert val.imag == 0.0
 
     def test_asymmetric_window_log_terms(self):
         # PV int 1/k over [-1, e] = 1 exactly
-        val = pv_integrate(lambda k: 1.0 / k + 0j, [0.0],
-                           domain=(-1.0, math.e))
+        val = pv_integrate(lambda k: 1.0 / k + 0j, 0.0,
+                           domain=(-1.0, math.e), oscillation_length=1.0)
         assert val.real == pytest.approx(1.0, rel=1e-9)
 
     def test_determinism(self, barrier):
@@ -110,15 +110,15 @@ class TestPvIntegrate:
     def test_budget_exhaustion(self):
         cfg = QuadratureConfig(max_panels=20)
         with pytest.raises(NonConvergenceError):
-            pv_integrate(lambda k: np.exp(40j * k) / (k * k + 1e-6), [],
+            pv_integrate(lambda k: np.exp(40j * k) / (k * k + 1e-6), None,
                          cfg, domain=(-30.0, 30.0), oscillation_length=40.0)
 
     def test_budget_failure_names_where_it_stalled(self):
         # a spike of width 1e-10 at k = 0.3 cannot be resolved in 200 panels
         cfg = QuadratureConfig(max_panels=200)
         with pytest.raises(NonConvergenceError) as info:
-            pv_integrate(lambda k: 1.0 / ((k - 0.3) ** 2 + 1e-20) + 0j, [],
-                         cfg, domain=(-1.0, 2.0))
+            pv_integrate(lambda k: 1.0 / ((k - 0.3) ** 2 + 1e-20) + 0j, None,
+                         cfg, domain=(-1.0, 2.0), oscillation_length=1.0)
         msg = str(info.value)
         assert "max_panels=200" in msg
         found = re.search(r"refinement level (\d+): (\d+) unresolved panels "
@@ -130,6 +130,12 @@ class TestPvIntegrate:
         assert 0 < count <= 200
         assert -1.0 <= k_lo < 0.3 < k_hi <= 2.0
         assert k_hi - k_lo < 0.1
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
+    def test_oscillation_length_must_be_finite_and_positive(self, length):
+        with pytest.raises(DomainError, match="oscillation_length"):
+            pv_integrate(lambda k: np.exp(-(k * k)) + 0j, None,
+                         domain=(-6.0, 6.0), oscillation_length=length)
 
     def test_config_validation(self):
         # a NaN budget never compares as exceeded, so it must not get in
@@ -179,7 +185,7 @@ class TestUnfoldedReference:
         p, m, k_hi = Packet(k0, l0), barrier.mass, self._k_hi(k0, l0)
 
         def pv(g):
-            return pv_integrate(g, [0.0], domain=(-k_hi, k_hi),
+            return pv_integrate(g, 0.0, domain=(-k_hi, k_hi),
                                 oscillation_length=l0).real
 
         v_inv = pv(lambda k: m / (2.0 * math.pi) * momentum_density(k - k0, p) / k)
@@ -201,7 +207,7 @@ class TestUnfoldedReference:
             g = (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * (f_m * df_p - f_p * df_m)
             return 2.0 * g.real
 
-        folded = pv_integrate(two_re_g, [], domain=(0.0, k_hi),
+        folded = pv_integrate(two_re_g, None, domain=(0.0, k_hi),
                               oscillation_length=l0).real
         assert oracle_delay_B(p, barrier) == pytest.approx(folded, rel=1e-11)
 

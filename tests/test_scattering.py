@@ -29,6 +29,7 @@ class TestBarrier:
         dict(height=1.0, width=math.inf),
         dict(height=1.0, width=1.0, mass=math.nan),
         dict(height=1.0, width=1.0, mass=math.inf),
+        dict(height=1e308, width=15.0, mass=10.0),  # V, m finite; 2mV not
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
