@@ -104,6 +104,7 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     l_v = L0 * v
     ratio = barrier.mass * barrier.height * barrier.width * L0
     k0, L0, tau, ratio = np.broadcast_arrays(k0, L0, tau, ratio)
+    _warn_if_invalid(ratio)
     return TimeBudget(
         k0=k0,
         L0=L0,
@@ -132,7 +133,7 @@ def _warn_if_invalid(ratio) -> None:
             f"m*V*a*L0 = {low.min():.3g} < {VALIDITY_THRESHOLD:g}: closed forms "
             "neglect amplitude-pole residues that are not small here",
             ValidityWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of budget_grid or age_difference
         )
 
 
@@ -142,9 +143,7 @@ def budget_grid(k0, L0, barrier: Barrier) -> TimeBudget:
     Raises DomainError if any k0 <= 0 or L0 <= 0. Emits one ValidityWarning per call
     when m*V*a*L0 is below the gate anywhere; the values are still returned.
     """
-    tb = _budget(k0, L0, barrier)
-    _warn_if_invalid(tb.validity_ratio)
-    return tb
+    return _budget(k0, L0, barrier)
 
 
 def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
@@ -154,5 +153,4 @@ def age_difference(packet: Packet, barrier: Barrier) -> TimeBudget:
     m*V*a*L0 is below the gate; the values are still returned.
     """
     tb = _budget(packet.k0, packet.L0, barrier)
-    _warn_if_invalid(tb.validity_ratio)
     return TimeBudget(**{name: val.item() for name, val in vars(tb).items()})

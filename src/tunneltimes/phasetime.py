@@ -54,7 +54,7 @@ def phase_time_grid(k, barrier: Barrier):
     m, a = barrier.mass, barrier.width
     if barrier.height * barrier.width == 0.0:
         return m * a / k
-    l0_sq = barrier.l0_sq
+    l0_sq = np.float64(barrier.l0_sq)    # its square overflows to inf, not an error
     u = l0_sq - k * k
     with np.errstate(over="ignore", invalid="ignore"):
         num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)

@@ -121,6 +121,8 @@ def amplitude_grid(k, barrier: Barrier):
     unimodular F+- = e^{i theta+-}: the transmission phase follows as
     theta = pi/2 + (theta+ + theta-)/2 + k a (mod pi), whereas arg T itself
     is rounding noise once |T| ~ e^{-kappa a}, and undefined where T = 0.
+    Where cosh(kappa a/2) overflows, F+- take their e^{-kappa a} = 0 limit,
+    e^{-ika}(k - i kappa)/(k + i kappa).
 
     Raises
     ------
@@ -128,19 +130,26 @@ def amplitude_grid(k, barrier: Barrier):
         If the relative magnitude of an amplitude denominator falls below
         POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
     """
-    k, _, w = _w_terms(k, barrier)
-    for num, den in w.values():
-        bad = np.abs(den) < POLE_RTOL * np.abs(num)
-        if np.any(bad):
-            k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
-            raise PoleProximityError(
-                f"amplitude evaluated at or near a pole, k = {k_bad}"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, _, w = _w_terms(k, barrier)
+        for num, den in w.values():
+            bad = np.abs(den) < POLE_RTOL * np.abs(num)
+            if np.any(bad):
+                k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
+                raise PoleProximityError(
+                    f"amplitude evaluated at or near a pole, k = {k_bad}"
+                )
 
-    phase = np.exp(-1j * k * barrier.width)
-    (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
-    F_p = phase * num_p / den_p
-    F_m = phase * num_m / den_m
+        phase = np.exp(-1j * k * barrier.width)
+        (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
+        F_p = phase * num_p / den_p
+        F_m = phase * num_m / den_m
+    thick = np.isnan(F_p) | np.isnan(F_m)
+    if thick.any():
+        # inf/inf there; e^{-kappa a} is 0 in double precision
+        kappa = np.sqrt(barrier.l0_sq - k * k)
+        F_thick = phase * (k - 1j * kappa) / (k + 1j * kappa)
+        F_p, F_m = np.where(thick, F_thick, F_p), np.where(thick, F_thick, F_m)
     R = (F_p + F_m) / (2.0 * phase)
     T = (F_p - F_m) / (2.0 * phase)
     return F_p, F_m, R, T

@@ -2,8 +2,9 @@
 
 All functions take w = z**2 instead of z. They are even in z, so they are
 single-valued in w and no square-root branch ever has to be chosen by the
-caller: negative (or complex) w simply continues sinh into sin. Series
-expansions take over near w = 0 where the closed forms lose digits.
+caller: negative (or complex) w simply continues sinh into sin. The closed
+forms run on the whole input; their Taylor series in w then overwrite the
+points near w = 0, where the closed forms lose digits (and give 0/0 at w = 0).
 """
 
 from __future__ import annotations
@@ -35,27 +36,19 @@ def _closed(w, names):
 def even_kernels(w, names) -> dict:
     """The kernels in the sequence names ('cosh', 'sinhc', 'psi', 'chi') at w.
 
-    One small-|w| mask picks the series branch for all of them; the closed
-    branch shares sqrt(w), cosh and sinh(sqrt(w))/sqrt(w), and runs on w
-    itself, with no gather or scatter, when no point is small. Real w gives
-    real kernels, and 0-d w gives scalars.
+    One pass: the closed forms, which share sqrt(w), cosh and
+    sinh(sqrt(w))/sqrt(w), run once on w itself; then each kernel's series
+    overwrites the points with |w| < _SMALL. Real w gives real kernels, and
+    0-d w gives scalars.
     """
     w = np.asarray(w)
     wc = np.atleast_1d(w).astype(complex, copy=False)
-    small = np.abs(wc) < _SMALL
-    if not small.any():
+    with np.errstate(divide="ignore", invalid="ignore"):
         outs = _closed(wc, names)
-    else:
-        outs = [np.empty_like(wc) for _ in names]
-        ws = wc[small]
+    small = np.abs(wc) < _SMALL
+    if small.any():
         for out, name in zip(outs, names):
-            acc = np.zeros_like(ws)
-            for c in reversed(_SERIES[name]):
-                acc = acc * ws + c
-            out[small] = acc
-        if not small.all():
-            for out, value in zip(outs, _closed(wc[~small], names)):
-                out[~small] = value
+            out[small] = np.polynomial.polynomial.polyval(wc[small], _SERIES[name])
     if np.isrealobj(w):
         outs = [out.real for out in outs]
     return dict(zip(names, [out[0] for out in outs] if w.ndim == 0 else outs))

@@ -114,6 +114,15 @@ class TestSweep:
         assert main(["--config", str(cfg), "sweep",
                      "--out", str(tmp_path / "s.csv")]) == 2
 
+    def test_two_mv_past_the_float_square(self, tmp_path):
+        # (2mV)^2 overflows a Python float; tau_ph is the Hartman limit
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--two-m-v", "1e200", "--k0-min", "0.01",
+                     "--k0-max", "0.01", "--k0-step", "1.0",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert rows[0][header.index("tau_ph")] == pytest.approx(2e-98, rel=1e-12)
+
     def test_height_flag_wins(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--two-m-v", "9.0", "--height", "0.5",
@@ -415,6 +424,17 @@ class TestOracleCompare:
             assert "refinement level" in row["note"]
             assert "max_panels=" in row["note"]
 
+
+    def test_thick_barrier_delay_B_row_passes(self, tmp_path):
+        # cosh(kappa a/2) overflows at a = 1500; the amplitudes take their
+        # thick-barrier limit, so delay-B's quadrature converges
+        out = tmp_path / "oc.json"
+        code = main(["oracle-compare", "--a", "1500", "--k0", "0.5",
+                     "--l0", "150", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == (0 if report["all_pass"] else 4)
+        rows = {row["quantity"]: row for row in report["rows"]}
+        assert rows["dtau_B"]["pass"] and rows["v_inv"]["pass"]
 
     def test_overflowing_two_mv_exits_3(self, tmp_path, capsys):
         out = tmp_path / "oc.json"

@@ -303,6 +303,16 @@ class TestValidity:
         assert tb.validity_ratio == pytest.approx(0.0075)
         assert not tb.valid
 
+    def test_warning_names_the_calling_file(self):
+        b = Barrier(1e-12, 15.0, 1.0)
+        for call in (lambda: age_difference(Packet(0.5, 150.0), b),
+                     lambda: budget_grid(np.array([0.5, 0.7]), 150.0, b)):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.category, w.filename) for w in rec] \
+                == [(ValidityWarning, __file__)]
+
     def test_boundary_inclusive(self):
         b = Barrier(0.5, 10.0, 1.0)
         tb = age_difference(Packet(1.0, 10.0), b)

@@ -69,6 +69,27 @@ def test_thick_barrier_reaches_hartman_limit(a):
         assert phase_time(k, b) == pytest.approx(phase_time_fd(k, b), rel=1e-9)
 
 
+def test_thick_barrier_fd_route_reaches_hartman_limit():
+    # at a = 1500 cosh(kappa a/2) overflows in the parity amplitudes too, so
+    # the difference route sees their e^{-kappa a} = 0 limit, not NaN
+    b = Barrier.from_two_mv(1.0, 1500.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in np.linspace(0.05, 0.3, 6):
+            assert phase_time_fd(k, b) == pytest.approx(phase_time(k, b), rel=1e-9)
+
+
+def test_two_mv_past_the_float_square_reaches_hartman_limit():
+    # (2mV)^2 overflows a Python float once 2mV > ~1.34e154; the closed form
+    # must still answer with 2m/(k kappa)
+    b = Barrier.from_two_mv(1e200, 15.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in [0.01, 1.0, 1e50]:
+            hartman = 2.0 / (k * math.sqrt(1e200 - k * k))
+            assert phase_time(k, b) == pytest.approx(hartman, rel=1e-12)
+
+
 def test_tall_thin_barrier_does_not_collapse_to_zero():
     # here only the denominator l0^4 a^2 Sc^2 overflows (kappa a ~ 346), which
     # made the closed form 0; the difference route loses digits to the

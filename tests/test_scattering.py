@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ class TestAmplitudes:
             assert np.max(np.abs(np.abs(F_p) - 1.0)) < 1e-11
             assert np.max(np.abs(np.abs(F_m) - 1.0)) < 1e-11
             assert np.max(np.abs(np.abs(R) ** 2 + np.abs(T) ** 2 - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("k", [0.05, 0.1, -0.1, 0.2])
+    def test_thick_barrier_limit(self, k):
+        # cosh(kappa a/2) overflows at a = 1500: F+- take their e^{-kappa a} = 0
+        # limit e^{-ika}(k - i kappa)/(k + i kappa), not inf/inf
+        b = Barrier.from_two_mv(1.0, 1500.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F_p, F_m, R, T = amplitude_grid(k, b)
+        kappa = math.sqrt(1.0 - k * k)
+        limit = cmath.exp(-1j * k * 1500.0) * (k - 1j * kappa) / (k + 1j * kappa)
+        assert abs(F_p) == pytest.approx(1.0, abs=1e-14)
+        assert F_p == F_m == pytest.approx(limit, abs=1e-12)
+        assert T == 0.0 and abs(R) == pytest.approx(1.0, abs=1e-14)
+
+    def test_thick_barrier_grid_invariants(self):
+        # the grid mixes overflowing points (k < ~0.32) with finite ones
+        k = np.linspace(0.02, 3.0, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F_p, F_m, R, T = amplitude_grid(k, Barrier.from_two_mv(1.0, 1500.0))
+        assert np.max(np.abs(np.abs(F_p) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(F_m) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(R) ** 2 + np.abs(T) ** 2 - 1.0)) < 1e-12
 
     def test_pole_proximity_raises(self, barrier):
         from tunneltimes.resonances import find_poles

@@ -58,6 +58,11 @@ INPUTS = {
     "edge": np.array(EDGE),
     "2-d mixed": np.array([[0.01, 3.0], [-0.0625, -1e-3]]) * (1 + 0.5j),
     "empty": np.array([]),
+    # W's argument (kappa a/2)^2 for a = 15, 2mV = 1 on a block of real k
+    # straddling k = +-1, where |w| crosses 0.0625
+    "block": (1.0 - np.concatenate([np.linspace(-1.004, -0.996, 1500),
+                                    np.linspace(0.996, 1.004, 1500)]) ** 2)
+    * 56.25 + 0j,
 }
 SCALARS = [0.01, 0.0625, -2.0, 0.01 + 0.02j, 0.0625j, -3.0 - 1.0j,
            np.float64(0.5), np.complex128(1e-3 - 0.2j),
@@ -105,3 +110,10 @@ def test_no_gather_without_small_points(monkeypatch):
     w = np.array([1.0 + 1.0j, -4.0, 0.5j])
     even_kernels(w, ("cosh", "sinhc", "chi"))
     assert len(seen) == 1 and seen[0] is w
+    # with some or all points in it, the series patches the closed forms'
+    # output in place: still one call, on w itself
+    for w in (np.array([1.0 + 1.0j, 0.01, -4.0, 0.0]),
+              np.array([0.01j, 0.0, -0.03 + 0.01j])):
+        seen.clear()
+        even_kernels(w, ("cosh", "sinhc", "chi"))
+        assert len(seen) == 1 and seen[0] is w
