@@ -35,13 +35,14 @@ _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
 _SEED_DEPTH = -1e-3     # Im k of the Newton seed of each pole index
-_MAX_POLES = 64          # per parity
-_MAX_INDICES = 4 * _MAX_POLES  # pole indices n spanned by the seeds
+_TOP_SEED_DEPTH = -1e-4  # Im k of the second seed of index n = 1
+_MAX_INDICES = 256       # pole indices n spanned by the seeds
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
 _WIND_LIFT = 0.05        # lowest top edge of a contour that reaches Im k >= 0
 _WIND_MAX_EVALS = 200_000
 _N_ENERGIES = 100        # real-axis samples of the remainder |G|
-_N_PHASE = 600           # uniform-k samples of the remainder phase check
+_N_PHASE = 600           # least uniform-k samples of the remainder phase check
+_MAX_PHASE_SAMPLES = 1 << 16  # and the most
 _MODULUS_TOL = 1e-6
 _MAX_PHASE_STEP = 1.0
 
@@ -181,12 +182,12 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     Above-barrier poles sit near k_n = sqrt(2mV + (n pi/a)^2), and their
     mirrors near -k_n (zeros of W+- pair as k, -conj(k)). The seeds cover
     every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on each
-    side. A zero-width barrier gets none: W+- has no zeros then.
-
-    A parity holds about one pole per two indices, so more than
-    _MAX_INDICES indices means more poles than _MAX_POLES; that raises
-    NonConvergenceError before any seed is formed, as the index count
-    grows with a and would otherwise size the Newton arrays.
+    side, and n = 1 once more at _TOP_SEED_DEPTH: thick barriers put that
+    root just under the real axis (1.000123 - 2.47e-6 i at a = 200). A
+    zero-width barrier gets none: W+- has no zeros then. More than
+    _MAX_INDICES indices raises NonConvergenceError before any seed is
+    formed, as the index count grows with a and would otherwise size the
+    Newton arrays.
     """
     a = barrier.width
     if a == 0.0:
@@ -201,13 +202,15 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     if not n_indices <= _MAX_INDICES:
         raise NonConvergenceError(
             f"pole search: {n_indices:.3g} pole indices in the rectangle, "
-            f"more than the {_MAX_INDICES} allowed ({_MAX_POLES} poles per parity)")
-    seeds = []
+            f"more than the {_MAX_INDICES} allowed")
+    seeds, top = [], []
     for sign, n_lo, n_hi in spans:
         n = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2)
         k_n = sign * np.sqrt(two_mv + (n * math.pi / a) ** 2)
         seeds.append(k_n + 1j * _SEED_DEPTH)
-    return np.concatenate(seeds)
+        if n[0] == 1:
+            top.append(k_n[:1] + 1j * _TOP_SEED_DEPTH)
+    return np.concatenate(seeds + top)
 
 
 def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
@@ -280,7 +283,7 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     CountMismatchError
         If the Newton harvest disagrees with the winding count.
     NonConvergenceError
-        If a parity has more than _MAX_POLES roots, or from winding_count.
+        Past _MAX_INDICES pole indices in the rectangle, or from winding_count.
     """
     rect = _check_rect(search_rect)
     re_lo, re_hi, im_lo, im_hi = rect
@@ -296,22 +299,14 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
             raise CountMismatchError(
                 f"parity {parity}: winding count {n_wind} != harvest {len(roots)}"
             )
-        if len(roots) > _MAX_POLES:
-            raise NonConvergenceError(f"parity {parity}: found {len(roots)} "
-                                      f"poles, more than the {_MAX_POLES} allowed")
         for z in roots:
             Wz, _, Wnz = _w_values(z, barrier, parity)
             E = z * z / (2.0 * m)
             gamma = -2.0 * E.imag
             out.append(ResonancePole(
-                parity=parity,
-                k_pole=z,
-                E_pole=complex(E),
-                E_R=E.real,
-                Gamma=gamma,
+                parity=parity, k_pole=z, E_pole=E, E_R=E.real, Gamma=gamma,
                 lifetime=(1.0 / gamma if gamma > 0.0 else math.inf),
-                residual=float(abs(Wz) / abs(Wnz)),
-            ))
+                residual=float(abs(Wz) / abs(Wnz))))
     return out
 
 
@@ -352,7 +347,9 @@ def verify_remainder(decomposition: ResonanceDecomposition) -> dict:
     list. A sharp bogus pole does, however, inject a localized ~pi phase
     swing. The phase test therefore walks a dense uniform-k sweep, where the
     smooth background advances arg G by only a fraction of a radian per step,
-    and bounds the largest single-step increment.
+    and bounds the largest single-step increment. The background turns at
+    about a per unit k, so the sweep takes 2 a (k_hi - k_lo) samples (0.5 rad
+    per step), clipped to [_N_PHASE, _MAX_PHASE_SAMPLES].
 
     Returns a report dict with 'ok', 'max_modulus_error', 'max_phase_step'.
     """
@@ -360,9 +357,10 @@ def verify_remainder(decomposition: ResonanceDecomposition) -> dict:
     m = decomposition.barrier.mass
     worst_mod = max(float(np.max(np.abs(np.abs(g) - 1.0)))
                     for g in _remainders(np.sqrt(2.0 * m * e), decomposition))
-    k_lo = math.sqrt(2.0 * m * float(e.min()))
+    k_lo = max(math.sqrt(2.0 * m * float(e.min())), 0.05)
     k_hi = math.sqrt(2.0 * m * float(e.max()))
-    ks = np.linspace(max(k_lo, 0.05), k_hi, _N_PHASE)
+    n = math.ceil(2.0 * decomposition.barrier.width * (k_hi - k_lo))
+    ks = np.linspace(k_lo, k_hi, min(max(_N_PHASE, n), _MAX_PHASE_SAMPLES))
     worst_step = max(float(np.max(np.abs(np.angle(G[1:] / G[:-1]))))
                      for G in _remainders(ks, decomposition))
     return {

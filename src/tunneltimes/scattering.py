@@ -131,25 +131,26 @@ def amplitude_grid(k, barrier: Barrier):
         POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k, _, w = _w_terms(k, barrier)
+        k, w = _w_terms(k, barrier)[::2]  # holds no reference to the kernel arrays
         for num, den in w.values():
             bad = np.abs(den) < POLE_RTOL * np.abs(num)
             if np.any(bad):
                 k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
                 raise PoleProximityError(
-                    f"amplitude evaluated at or near a pole, k = {k_bad}"
-                )
+                    f"amplitude evaluated at or near a pole, k = {k_bad}")
 
         phase = np.exp(-1j * k * barrier.width)
         (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
         F_p = phase * num_p / den_p
         F_m = phase * num_m / den_m
+        r_p, r_m = num_p / den_p, num_m / den_m
     thick = np.isnan(F_p) | np.isnan(F_m)
     if thick.any():
         # inf/inf there; e^{-kappa a} is 0 in double precision
         kappa = np.sqrt(barrier.l0_sq - k * k)
         F_thick = phase * (k - 1j * kappa) / (k + 1j * kappa)
         F_p, F_m = np.where(thick, F_thick, F_p), np.where(thick, F_thick, F_m)
-    R = (F_p + F_m) / (2.0 * phase)
-    T = (F_p - F_m) / (2.0 * phase)
-    return F_p, F_m, R, T
+        r_thick = (k - 1j * kappa) / (k + 1j * kappa)
+        r_p, r_m = np.where(thick, r_thick, r_p), np.where(thick, r_thick, r_m)
+    # not F+- / e^{-ika}: that phase underflows to 0 where Im k a < ~-745
+    return F_p, F_m, (r_p + r_m) / 2.0, (r_p - r_m) / 2.0

@@ -506,6 +506,14 @@ class TestResonancesCmd:
         assert peak < 10_000_000
         assert not out.exists()
 
+    def test_very_thick_barrier_answers(self, tmp_path):
+        out = tmp_path / "res.json"
+        assert main(["resonances", "--a", "200", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["poles"]) == 180
+        assert report["remainder_check"]["ok"]
+        assert all(p["residual"] < 1e-10 for p in report["poles"])
+
     def test_very_thick_barrier_answers_or_names_both_counts(self, tmp_path,
                                                              capsys):
         out = tmp_path / "res.json"

@@ -140,9 +140,25 @@ class TestFindPoles:
         # them must not leak a RuntimeWarning (an error in this suite)
         assert find_poles(b, (0.5, 3.0, -1.0, 0.0)) == []
 
-    @pytest.mark.parametrize("a", [300.0, 1e9, 1e300, 1.7e308])
+    @pytest.mark.parametrize("a", [200.0, 250.0, 280.0])
+    def test_very_thick_barriers_answer(self, a):
+        # the default rectangle spans up to 256 pole indices at a ~ 284; at
+        # a = 200 the Im -1e-3 seed missed the barrier-top root (winding 90,
+        # harvest 89), and 600 phase samples stepped past 1 rad near a = 230
+        b = Barrier.from_two_mv(1.0, a)
+        rect = (0.5, 3.0, -1.0, 0.0)
+        dec = build_decomposition(b, rect)
+        for parity in ("+", "-"):
+            assert winding_count(b, rect, parity) == len(dec.poles_of(parity))
+        assert verify_remainder(dec)["ok"]
+        assert max(p.residual for p in dec.poles) < 1e-10
+        if a == 200.0:
+            assert any(abs(p.k_pole - (1.000123 - 2.47e-6j)) < 1e-6
+                       for p in dec.poles_of("+"))
+
+    @pytest.mark.parametrize("a", [290.0, 300.0, 1e9, 1e300, 1.7e308])
     def test_too_many_pole_indices_fail_before_newton(self, a, monkeypatch):
-        # the index count grows with a; past 4 x _MAX_POLES it is refused
+        # the index count grows with a; past _MAX_INDICES it is refused
         # before any seed array is formed or W is evaluated
         def no_evaluation(*args):
             raise AssertionError("W evaluated")
@@ -344,6 +360,24 @@ class TestReconstruction:
             energies=decomposition.energies,
         )
         assert not verify_remainder(bad)["ok"]
+
+    @pytest.mark.parametrize("a, n_phase", [(15.0, 600), (200.0, 1059),
+                                            (2e4, 1 << 16)])
+    def test_phase_sweep_samples_per_barrier_width(self, decomposition, a,
+                                                   n_phase, monkeypatch):
+        # ~2a samples per unit k keep the background's steps near 0.5 rad;
+        # past 2^16 of them the sweep is held there, and its steps grow
+        sizes = []
+        remainders = resonances._remainders
+
+        def counting(k, dec):
+            sizes.append(np.size(k))
+            return remainders(k, dec)
+
+        monkeypatch.setattr(resonances, "_remainders", counting)
+        verify_remainder(ResonanceDecomposition(
+            Barrier.from_two_mv(1.0, a), (), decomposition.energies))
+        assert sizes == [100, n_phase]
 
     def test_remainder_amplitude_calls(self, barrier, monkeypatch):
         # one amplitude_grid call gives both parities: the 100 energies and

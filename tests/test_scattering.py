@@ -130,6 +130,16 @@ class TestAmplitudes:
         assert F_p == F_m == pytest.approx(limit, abs=1e-12)
         assert T == 0.0 and abs(R) == pytest.approx(1.0, abs=1e-14)
 
+    def test_reflection_and_transmission_at_deep_complex_k(self):
+        # e^{-ika} underflows to 0 at Im k a = -750: F+- are 0 there, and R, T
+        # divided back by it read nan; they come from num/den instead
+        b = Barrier.from_two_mv(1.0, 1500.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F_p, F_m, R, T = amplitude_grid(2.0 - 0.5j, b)
+        assert F_p == F_m == 0.0
+        assert np.isfinite(R) and np.isfinite(T)
+
     def test_thick_barrier_grid_invariants(self):
         # the grid mixes overflowing points (k < ~0.32) with finite ones
         k = np.linspace(0.02, 3.0, 500)
