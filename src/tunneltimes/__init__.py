@@ -23,6 +23,7 @@ from .errors import (
     InsufficientFluxError,
     NonConvergenceError,
     PoleProximityError,
+    TunnelTimesError,
     ValidityWarning,
 )
 from .phasetime import k_tau_limit, phase_time, phase_time_fd

@@ -6,8 +6,8 @@ separators, '.' decimals, 17 significant digits, LF line endings, one leading
 '#' comment line naming the units and the full parameter set, then a header
 row. JSON reports are sorted and indented.
 
-Exit codes: 0 ok, 2 configuration error, 3 domain/physics error,
-4 verification failure.
+Exit codes: 0 ok, 2 configuration error (an output that cannot be opened
+included), 3 any other TunnelTimesError, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ import numpy as np
 from .closedform import age_difference, budget_grid
 from .errors import (
     CountMismatchError,
-    DomainError,
-    GridTooSmallError,
-    ImaginaryResidueError,
     InsufficientFluxError,
     NonConvergenceError,
-    PoleProximityError,
+    TunnelTimesError,
     ValidityWarning,
 )
 from .propagator import empirical_delay, grid_errors
@@ -37,37 +34,42 @@ from .quadrature import (
     oracle_inverse_velocity,
     oracle_tunneling_time,
 )
-from .resonances import build_decomposition, lorentzian_delay, verify_remainder
+from .resonances import (SEARCH_RECT, build_decomposition, lorentzian_delay,
+                         verify_remainder)
 from .scattering import Barrier
 from .wavepacket import Packet
 
-_PHYSICS_ERRORS = (
-    DomainError,
-    PoleProximityError,
-    NonConvergenceError,
-    ImaginaryResidueError,
-    GridTooSmallError,
-    InsufficientFluxError,
-)
-
 MAX_K0_ROWS = 10**6  # a k0 grid larger than this is a configuration error
 
-DEFAULTS = {
-    "a": 15.0,
-    "mass": 1.0,
-    "two_mV": 1.0,
-    "height": None,       # wins over two_mV when set
-    "k0_min": 0.01,
-    "k0_max": 1.5,
-    "k0_step": 0.01,
-    "L0": [150.0, 300.0],
-    "k0_list": [0.3, 0.7, 1.1],
-    "detector_x": 30.0,
-    "out": "out.csv",
+_RECT_KEYS = ("re_min", "re_max", "im_min", "im_max")
+
+# key (the flag's dest) -> flag, default, argparse keywords (type float unless
+# given); the search rectangle is flag-only, the rest are config-file keys
+FLAGS = {
+    "a": ("--a", 15.0, {"help": "barrier width"}),
+    "mass": ("--mass", 1.0, {"help": "particle mass"}),
+    "two_mV": ("--two-m-v", 1.0, {"help": "barrier height as 2mV"}),
+    "height": ("--height", None,
+               {"help": "barrier height V (wins over --two-m-v)"}),
+    "k0_min": ("--k0-min", 0.01, {}),
+    "k0_max": ("--k0-max", 1.5, {}),
+    "k0_step": ("--k0-step", 0.01, {}),
+    "L0": ("--l0", [150.0, 300.0],
+           {"action": "append", "help": "packet width; repeatable"}),
+    "k0_list": ("--k0", [0.3, 0.7, 1.1],
+                {"action": "append", "metavar": "K0",
+                 "help": "packet k0; repeatable"}),
+    "detector_x": ("--detector-x", 30.0, {"help": "detector position"}),
+    "out": ("--out", "out.csv", {"type": str, "help": "output file path"}),
+    **{key: ("--" + key.replace("_", "-"), default, {})
+       for key, default in zip(_RECT_KEYS, SEARCH_RECT)},
 }
 
+DEFAULTS = {key: default for key, (_, default, _) in FLAGS.items()
+            if key not in _RECT_KEYS}
 
-class ConfigError(Exception):
+
+class ConfigError(TunnelTimesError):
     pass
 
 
@@ -85,7 +87,8 @@ def _number(key: str, value) -> float:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """Defaults < config file < flags, each checked by its default's type."""
+    """Each FLAGS key from its flag, else the config file, else its default,
+    checked by its default's type."""
     cfg = dict(DEFAULTS)
     if args.config:
         try:
@@ -97,9 +100,10 @@ def load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
-        value = cfg[key] if flag is None else flag
+    for key, (_, default, _) in FLAGS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key, default)
         if isinstance(default, list):
             if not isinstance(value, list) or not value:
                 raise ConfigError(
@@ -132,13 +136,20 @@ def _k0_grid(cfg: dict) -> np.ndarray:
     return lo + np.arange(int(math.floor(n)) + 1) * step
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _param_comment(cfg: dict, barrier: Barrier) -> str:
+def _param_comment(barrier: Barrier) -> str:
     return ("# natural units: hbar=1; a={a} m={m} two_mV={t} "
             "(V={v}); deterministic output".format(
                 a=_fmt(barrier.width), m=_fmt(barrier.mass),
@@ -151,7 +162,7 @@ def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
     line = ",".join(("%.17g" % c).replace("%", "%%") if c.ndim == 0 else "%.17g"
                     for c in columns) + "\n"  # scalar columns formatted once
     cols = np.broadcast_arrays(*(c for c in columns if c.ndim))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(comment + "\n" + ",".join(header) + "\n")
         # 64 leading-axis slices at a time keep few Python floats alive
         for i in range(0, len(cols[0]), 64):
@@ -176,7 +187,7 @@ def _closed_grid(cfg: dict, barrier: Barrier, l0s):
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
     k0s, tb = _closed_grid(cfg, barrier, sorted(cfg["L0"]))
-    _write_csv(cfg["out"], _param_comment(cfg, barrier), SWEEP_COLUMNS, [
+    _write_csv(cfg["out"], _param_comment(barrier), SWEEP_COLUMNS, [
         tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tb.tau_ph,
         tb.t_tunnel, tb.t_outside, tb.t_age, tb.t0, tb.dtau_A, tb.dtau_B,
         tb.bp_tunnel_term, tb.bp_outside_term, tb.validity_ratio,
@@ -197,7 +208,7 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
         k0s, tb = _closed_grid(cfg, barrier, l0s[:1])
         header = ["k0", "t_age", "t_age0"]
         columns = [k0s, tb.t_age[:, 0], tb.t0[:, 0]]
-    _write_csv(cfg["out"], _param_comment(cfg, barrier), header, columns)
+    _write_csv(cfg["out"], _param_comment(barrier), header, columns)
     return 0
 
 
@@ -258,7 +269,7 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_resonances(cfg: dict, args: argparse.Namespace) -> int:
-    rect = tuple(_number(key, getattr(args, key)) for key in _RECT_KEYS)
+    rect = tuple(cfg[key] for key in _RECT_KEYS)
     if not (rect[0] < rect[1] and rect[2] < rect[3]):
         raise ConfigError(
             "search rectangle needs re_min < re_max and im_min < im_max")
@@ -320,7 +331,7 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
         }
     if starved == len(cfg["k0_list"]):
         raise InsufficientFluxError("no requested k0 produced measurable flux")
-    _write_csv(cfg["out"], _param_comment(cfg, barrier),
+    _write_csv(cfg["out"], _param_comment(barrier),
                ["k0", "empirical_delay", "closed_form_delay",
                 "transmitted_fraction"], list(zip(*rows)))
     _write_json(cfg["out"] + ".gridinfo.json", sidecar)
@@ -328,7 +339,6 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 _BARRIER_KEYS = ("a", "mass", "two_mV", "height")
-_RECT_KEYS = ("re_min", "re_max", "im_min", "im_max")
 _GRID_KEYS = (*_BARRIER_KEYS, "k0_min", "k0_max", "k0_step", "L0", "out")
 
 # command -> handler, help, the keys it reads (each becomes one flag)
@@ -346,28 +356,6 @@ COMMANDS = {
                   (*_BARRIER_KEYS, "L0", "k0_list", "detector_x", "out")),
 }
 
-# key (the flag's dest) -> flag and its argparse keywords (type float unless
-# given); the search rectangle is flag-only, every other key is a config key
-FLAGS = {
-    "a": ("--a", {"help": "barrier width"}),
-    "mass": ("--mass", {"help": "particle mass"}),
-    "two_mV": ("--two-m-v", {"help": "barrier height as 2mV"}),
-    "height": ("--height", {"help": "barrier height V (wins over --two-m-v)"}),
-    "k0_min": ("--k0-min", {}),
-    "k0_max": ("--k0-max", {}),
-    "k0_step": ("--k0-step", {}),
-    "L0": ("--l0", {"action": "append", "help": "packet width; repeatable"}),
-    "k0_list": ("--k0", {"action": "append", "metavar": "K0",
-                         "help": "packet k0; repeatable"}),
-    "detector_x": ("--detector-x", {"help": "detector position"}),
-    "out": ("--out", {"type": str, "help": "output file path"}),
-    "re_min": ("--re-min", {"default": 0.5}),
-    "re_max": ("--re-max", {"default": 3.0}),
-    "im_min": ("--im-min", {"default": -1.0}),
-    "im_max": ("--im-max", {"default": 0.0}),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunneltimes",
@@ -383,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "figure":
             p.add_argument("which", choices=["fig3", "fig4"])
         for key in keys:
-            flag, kwargs = FLAGS[key]
+            flag, _, kwargs = FLAGS[key]
             p.add_argument(flag, dest=key, **{"type": float, **kwargs})
         p.set_defaults(func=func)
     return parser
@@ -402,7 +390,7 @@ def main(argv=None) -> int:
     except CountMismatchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except _PHYSICS_ERRORS as exc:
+    except TunnelTimesError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

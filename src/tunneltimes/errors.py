@@ -1,31 +1,35 @@
 """Exception and warning types shared across the package."""
 
 
-class DomainError(ValueError):
+class TunnelTimesError(Exception):
+    """Base of the package's errors; each also keeps a builtin base."""
+
+
+class DomainError(TunnelTimesError, ValueError):
     """A physical parameter is outside the domain of the requested quantity."""
 
 
-class PoleProximityError(ArithmeticError):
+class PoleProximityError(TunnelTimesError, ArithmeticError):
     """A scattering amplitude was evaluated at or numerically on top of a pole."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(TunnelTimesError, RuntimeError):
     """An adaptive numerical scheme exhausted its budget before reaching tolerance."""
 
 
-class ImaginaryResidueError(ArithmeticError):
+class ImaginaryResidueError(TunnelTimesError, ArithmeticError):
     """A quantity that must be real came out with a non-negligible imaginary part."""
 
 
-class CountMismatchError(RuntimeError):
+class CountMismatchError(TunnelTimesError, RuntimeError):
     """Root harvest disagrees with the argument-principle count over a region."""
 
 
-class GridTooSmallError(ValueError):
+class GridTooSmallError(TunnelTimesError, ValueError):
     """The simulation grid cannot hold the requested initial state."""
 
 
-class InsufficientFluxError(RuntimeError):
+class InsufficientFluxError(TunnelTimesError, RuntimeError):
     """Too little probability reached the detector to form a meaningful average."""
 
 

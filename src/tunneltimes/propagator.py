@@ -27,9 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmallError, InsufficientFluxError
+from .errors import (DomainError, GridTooSmallError, InsufficientFluxError,
+                     NonConvergenceError)
 from .scattering import Barrier
 from .wavepacket import Packet
+
+_MAX_POINT_STEPS = 10**9  # per run: ~23 s at ~23 ns per point-step (2 cores)
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,14 @@ class GridSpec:
             raise DomainError("inconsistent grid spec")
 
     @property
+    def n_points(self) -> int:
+        """Number of interior grid points, counted without building them."""
+        return int(round((self.x_max - self.x_min) / self.dx)) - 1
+
+    @property
     def x(self) -> np.ndarray:
         """Interior grid points; psi = 0 on the walls themselves."""
-        n = int(round((self.x_max - self.x_min) / self.dx)) - 1
-        return self.x_min + self.dx * np.arange(1, n + 1)
+        return self.x_min + self.dx * np.arange(1, self.n_points + 1)
 
     def norm(self, psi: np.ndarray) -> float:
         """Discrete norm sum |psi|^2 dx of a state: its amplitudes at x."""
@@ -152,10 +159,15 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
     probability that has crossed the detector by the end of the window. The
     record's norm drift and wall probability (within 10 dx of either wall)
     are read from the final state. A set stop event ends the run within one
-    step (see _stepper).
+    step (see _stepper). A run of more than _MAX_POINT_STEPS grid-point-steps
+    raises NonConvergenceError before any array is built.
     """
     if not (barrier.width / 2.0 < detector_x < spec.x_max - 2 * spec.dx):
         raise DomainError("detector must sit past the barrier and inside the grid")
+    if (work := spec.n_points * n_steps) > _MAX_POINT_STEPS:
+        raise NonConvergenceError(
+            f"Crank-Nicolson run: {spec.n_points} points x {n_steps} steps = "
+            f"{work:.3g} point-steps, more than the {_MAX_POINT_STEPS:.0e} allowed")
     psi = init_state(packet, barrier, spec)
     idx = int(round((detector_x - spec.x_min) / spec.dx)) - 1
     psi, s = _stepper(psi, spec, barrier, n_steps, slice(idx - 1, idx + 2), stop)

@@ -45,6 +45,7 @@ _N_PHASE = 600           # least uniform-k samples of the remainder phase check
 _MAX_PHASE_SAMPLES = 1 << 16  # and the most
 _MODULUS_TOL = 1e-6
 _MAX_PHASE_STEP = 1.0
+SEARCH_RECT = (0.5, 3.0, -1.0, 0.0)  # default (re_lo, re_hi, im_lo, im_hi)
 
 
 @dataclass(frozen=True)
@@ -107,16 +108,21 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     Each side starts as max(_WIND_SEGMENTS, ceil(|side| a/pi)) segments, at
     least one per pole spacing pi/a (48 along Re k in [0.5, 3] aliased to 76
     for 90 at a = 200), all four sides in one vector evaluation of W.
-    Level by level, every segment [z1, z2] with |W(z2)/W(z1) - 1| > 0.5 is
-    bisected, that level's midpoints again in one evaluation; a segment
-    that passes adds the principal arg(W(z2)/W(z1)), at most pi/6.
+    Level by level, W is evaluated at the midpoint zm of every segment
+    [z1, z2], all of a level's midpoints at once. A segment passes when
+    |W(z2)/W(z1) - 1| <= 0.5 holds at two resolutions, for the segment and
+    both its halves, and adds arg(W(zm)/W(z1)) + arg(W(z2)/W(zm)), each
+    principal value at most pi/6; any other segment is split in two.
     Bounding the change of log W, modulus as well as phase, matters where
     a side passes close to zeros: at a = 60 arg W turns by 5.6-6.5 rad
     inside single initial segments along the real axis while their
     principal steps read 0.2-0.7 rad, so a cut on |Delta arg| alone
     (0.8 rad) counted 25 for 27; |W| changes enough there (|ratio - 1| =
-    0.61-840) for the ratio rule to split them. At most _WIND_MAX_EVALS
-    points are evaluated.
+    0.61-840) for the ratio rule to split them. A root just inside a side
+    can turn arg W by nearly 2 pi along a segment whose end-point ratio
+    passes (2mV = 0.25, a = 120 has one 6.8e-4 inside Re k = 0.5): one
+    resolution counted 55 for 56 there. At most _WIND_MAX_EVALS points are
+    evaluated.
 
     If im_hi >= 0 the top edge is walked at max(im_hi, _WIND_LIFT): V >= 0
     binds no state, so W+- has no zero with Im k > 0, and the lifted edge
@@ -159,15 +165,14 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     w = w_of(z)
     z1, z2, w1, w2 = z[:-1], z[1:], w[:-1], w[1:]
     total = 0.0
-    while True:
-        ratio = w2 / w1
-        split = ~(np.abs(ratio - 1.0) <= 0.5) & (np.abs(z2 - z1) >= 1e-13)
-        total += float(np.sum(np.angle(ratio[~split])))
-        if not split.any():
-            break
-        z1, z2, w1, w2 = z1[split], z2[split], w1[split], w2[split]
+    while z1.size:
         zm = 0.5 * (z1 + z2)
         wm = w_of(zm)
+        r1, r2 = wm / w1, w2 / wm
+        done = (np.all(np.abs(np.stack([w2 / w1, r1, r2]) - 1.0) <= 0.5, axis=0)
+                | (np.abs(z2 - z1) < 1e-13))
+        total += float(np.sum(np.angle(r1[done]) + np.angle(r2[done])))
+        z1, zm, z2, w1, wm, w2 = (v[~done] for v in (z1, zm, z2, w1, wm, w2))
         z1, z2 = np.concatenate([z1, zm]), np.concatenate([zm, z2])
         w1, w2 = np.concatenate([w1, wm]), np.concatenate([wm, w2])
     n = total / (2.0 * math.pi)
@@ -328,7 +333,7 @@ def _remainders(k, decomposition: ResonanceDecomposition):
 
 
 def build_decomposition(
-    barrier: Barrier, search_rect=(0.5, 3.0, -1.0, 0.0)
+    barrier: Barrier, search_rect=SEARCH_RECT
 ) -> ResonanceDecomposition:
     """Harvest poles and fix the real energies of the remainder check."""
     poles = tuple(find_poles(barrier, search_rect))
@@ -390,15 +395,3 @@ def remainder_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
     return 0.5 * _phase_slope(
         lambda es: _remainders(np.sqrt(2.0 * m * es), decomposition), E0)
 
-
-__all__ = [
-    "ResonancePole",
-    "ResonanceDecomposition",
-    "find_poles",
-    "winding_count",
-    "build_decomposition",
-    "reconstruct_amplitude",
-    "verify_remainder",
-    "lorentzian_delay",
-    "remainder_delay",
-]

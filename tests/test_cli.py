@@ -4,13 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import tunneltimes
-from tunneltimes import cli, closedform, phasetime, propagator, quadrature
+from tunneltimes import (cli, closedform, errors, phasetime, propagator,
+                         quadrature)
 from tunneltimes.cli import main
 
 
@@ -77,6 +79,12 @@ class TestSweep:
         assert "domain error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--out", str(out)]) == 2
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_one_grid_pass_without_scalar_phase_time(self, tmp_path,
                                                      monkeypatch):
         # the whole (k0, L0) grid goes through the array kernels at once
@@ -113,6 +121,16 @@ class TestSweep:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(cfg), "sweep",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("command", [["sweep"], ["resonances"]])
+    def test_search_rect_is_not_a_config_key(self, tmp_path, capsys,
+                                             command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"re_min": 0.6}))
+        out = tmp_path / "x.out"
+        assert main(["--config", str(cfg), *command, "--out", str(out)]) == 2
+        assert "unknown config keys: ['re_min']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_two_mv_past_the_float_square(self, tmp_path):
         # (2mV)^2 overflows a Python float; tau_ph is the Hartman limit
@@ -456,6 +474,12 @@ class TestResonancesCmd:
         assert report["remainder_check"]["max_modulus_error"] < 1e-6
         assert report["lorentzian_delay_curve"]
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "res.json"
+        assert main(["resonances", "--out", str(out)]) == 2
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_thick_barrier_answers(self, tmp_path):
         out = tmp_path / "res.json"
         assert main(["resonances", "--a", "60", "--out", str(out)]) == 0
@@ -468,11 +492,13 @@ class TestResonancesCmd:
         (["--a", "100"], 90),
         (["--two-m-v", "4", "--a", "60"], 42),
         (["--a", "60", "--re-max", "6"], 112),
+        (["--two-m-v", "0.25", "--a", "120"], 112),
     ])
     def test_thicker_and_taller_barriers_answer(self, tmp_path, flags, n_poles):
         # floor(a sqrt(re_max^2 - 2mV) / pi) over-barrier poles; each used
         # to end in a count mismatch (winding 43 / 21 / 54 against a harvest
-        # of 44 / 20 / 56), and 112 poles exceed the old two-parity cap of 64
+        # of 44 / 20 / 56), and 112 poles exceed the old two-parity cap of 64;
+        # at 2mV = 0.25 a root 6.8e-4 inside Re k = 0.5 read winding 55 for 56
         out = tmp_path / "res.json"
         assert main(["resonances", *flags, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -592,6 +618,18 @@ class TestPropagate:
                                             "n_steps")] \
                 == [spec.x_min, spec.x_max, spec.dx, spec.dt, rec.n_steps]
 
+    def test_oversized_run_fails_fast(self, tmp_path, capsys):
+        # 2.6e5 points x 3.7e5 steps at k0 = 0.01: over half an hour of
+        # stepping, refused before any state is built
+        out = tmp_path / "prop.csv"
+        start = time.perf_counter()
+        code = main(["propagate", "--k0", "0.01", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "point-steps, more than the 1e+09 allowed" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["propagate", "--k0", "1.2", "--l0", "15",
                 "--detector-x", "20"]
@@ -599,6 +637,32 @@ class TestPropagate:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, Exception)
+                  and not issubclass(cls, Warning)
+                  and cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch,
+                                           cls):
+    # every package error is a TunnelTimesError and keeps a builtin base;
+    # main picks the exit code by class
+    assert len(PACKAGE_ERRORS) == 8
+    assert issubclass(cls, tunneltimes.TunnelTimesError)
+    assert cls is tunneltimes.TunnelTimesError or len(cls.__bases__) == 2
+
+    def failing(cfg):
+        raise cls("raised inside the command")
+
+    monkeypatch.setattr(cli, "_barrier", failing)
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--out", str(out)])
+    assert code == (4 if cls is errors.CountMismatchError else 3)
+    assert "raised inside the command" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg",

@@ -11,6 +11,7 @@ from tunneltimes.errors import (
     DomainError,
     GridTooSmallError,
     InsufficientFluxError,
+    NonConvergenceError,
 )
 from tunneltimes.propagator import (
     CN_PHASE_BUDGET,
@@ -160,6 +161,18 @@ class TestArrival:
     def test_detector_must_sit_past_barrier(self, barrier):
         with pytest.raises(DomainError):
             measure_arrival(Packet(1.0, 30.0), barrier, SMALL, 5.0, 10)
+
+    def test_point_step_budget_raises_before_stepping(self, barrier,
+                                                     monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("built a state past the point-step budget")
+
+        monkeypatch.setattr(propagator, "init_state", no_stepping)
+        monkeypatch.setattr(propagator, "_stepper", no_stepping)
+        n_steps = propagator._MAX_POINT_STEPS // SMALL.n_points + 1
+        with pytest.raises(NonConvergenceError, match=r"2499 points x "):
+            measure_arrival(Packet(1.0, 30.0), barrier, SMALL, 25.0, n_steps)
+        assert SMALL.n_points == len(SMALL.x) == 2499
 
     def test_insufficient_flux_guard(self, barrier):
         # a window far too short for anything to arrive

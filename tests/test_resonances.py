@@ -132,6 +132,17 @@ class TestFindPoles:
             assert winding_count(b, (0.5, 3.0, -1.0, 0.0), parity) == count
             assert winding_count(b, (0.5, 3.0, -1.0, 0.05), parity) == count
 
+    @pytest.mark.parametrize("rect", [(0.5, 0.6, -1.0, 0.0),
+                                      (0.5, 3.0, -1.0, 0.0)])
+    def test_root_just_inside_a_side_counts(self, rect):
+        # a root 6.8e-4 inside Re k = 0.5 turns arg W by nearly 2 pi along a
+        # left-edge segment whose end-point ratio passes; checked at one
+        # resolution the walk counted 5 for 6 and 55 for 56 (+)
+        b = Barrier.from_two_mv(0.25, 120.0)
+        dec = build_decomposition(b, rect)
+        for parity in ("+", "-"):
+            assert winding_count(b, rect, parity) == len(dec.poles_of(parity))
+
     @pytest.mark.parametrize("b", [Barrier.from_two_mv(0.0, 15.0),
                                    Barrier(0.5, 0.0)],
                              ids=["free", "zero-width"])
