@@ -96,6 +96,8 @@ def load_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

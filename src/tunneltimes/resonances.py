@@ -34,8 +34,7 @@ from .scattering import Barrier, _w_terms, amplitude_grid
 _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-12
 _DEDUP_TOL = 1e-8
-_SEED_DEPTH = -1e-3     # Im k of the Newton seed of each pole index
-_TOP_SEED_DEPTH = -1e-4  # Im k of the second seed of index n = 1
+_SEED_DEPTH = -1e-3     # deepest Im k of a pole-index Newton seed
 _MAX_INDICES = 256       # pole indices n spanned by the seeds
 _WIND_SEGMENTS = 48      # initial samples per side of the winding contour
 _WIND_LIFT = 0.05        # lowest top edge of a contour that reaches Im k >= 0
@@ -134,8 +133,8 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     DomainError
         For a parity other than '+'/'-' or an empty or reversed rectangle.
     NonConvergenceError
-        If the contour hits a zero of W, the budget runs out, or the winding
-        number is not within 0.25 of an integer.
+        If W is zero or overflows on the contour, the budget runs out, or the
+        winding number is not within 0.25 of an integer.
     """
     if parity not in ("+", "-"):
         raise DomainError(f"parity must be '+' or '-', got {parity!r}")
@@ -157,9 +156,11 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
         evals += z.size
         if evals > _WIND_MAX_EVALS:
             raise NonConvergenceError("winding walk budget exhausted")
-        w = _w_terms(z, barrier, parity)[2][parity][1]  # the denominator W
-        if not np.all(w):
-            raise NonConvergenceError("winding contour hit a zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _w_terms(z, barrier, parity)[2][parity][1]  # the denominator W
+        bad = z[(w == 0) | ~np.isfinite(w)]
+        if bad.size:
+            raise NonConvergenceError(f"winding contour: W is 0 or inf at k = {bad[0]:.6g}")
         return w
 
     w = w_of(z)
@@ -182,22 +183,20 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
 
 
 def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
-    """One Newton seed +-k_n + i _SEED_DEPTH per pole index n.
+    """One Newton seed +-k_n + i d_n per pole index n.
 
-    Above-barrier poles sit near k_n = sqrt(2mV + (n pi/a)^2), and their
-    mirrors near -k_n (zeros of W+- pair as k, -conj(k)). The seeds cover
-    every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on each
-    side, and n = 1 once more at _TOP_SEED_DEPTH: thick barriers put that
-    root just under the real axis (1.000123 - 2.47e-6 i at a = 200). A
-    zero-width barrier gets none: W+- has no zeros then. More than
-    _MAX_INDICES indices raises NonConvergenceError before any seed is
-    formed, as the index count grows with a and would otherwise size the
-    Newton arrays.
+    Above-barrier poles sit near k_n = sqrt(2mV + q_n^2), q_n = n pi/a, and
+    their mirrors near -k_n (zeros of W+- pair as k, -conj(k)), at about the
+    depth d_n = (q_n/(k_n a)) ln(2mV/(k_n + q_n)^2) of a Fabry-Perot line with
+    edge reflection (k - q)/(k + q); seeds go no deeper than _SEED_DEPTH (at
+    a = 200, d_1 = -2.467e-6 for the root 1.000123 - 2.47e-6 i). The seeds
+    cover every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on
+    each side. More than _MAX_INDICES indices raises NonConvergenceError
+    before any seed is formed, as the index count grows with a and would
+    otherwise size the Newton arrays. Within it, V a = 0 gets no seeds:
+    W+ = k e^{-ika/2} and W- = i e^{-ika/2} have no zeros then.
     """
-    a = barrier.width
-    if a == 0.0:
-        return np.empty(0, dtype=complex)
-    two_mv = 2.0 * barrier.mass * barrier.height
+    a, two_mv = barrier.width, barrier.l0_sq
     spans = []
     for sign, lo, hi in ((1.0, rect[0], rect[1]), (-1.0, -rect[1], -rect[0])):
         if hi > 0.0:  # k * k overflows to inf where k ** 2 would raise
@@ -208,14 +207,15 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
         raise NonConvergenceError(
             f"pole search: {n_indices:.3g} pole indices in the rectangle, "
             f"more than the {_MAX_INDICES} allowed")
-    seeds, top = [], []
+    if two_mv == 0.0 or a == 0.0:
+        return np.empty(0, dtype=complex)
+    seeds = []
     for sign, n_lo, n_hi in spans:
-        n = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2)
-        k_n = sign * np.sqrt(two_mv + (n * math.pi / a) ** 2)
-        seeds.append(k_n + 1j * _SEED_DEPTH)
-        if n[0] == 1:
-            top.append(k_n[:1] + 1j * _TOP_SEED_DEPTH)
-    return np.concatenate(seeds + top)
+        q = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2) * math.pi / a
+        k_n = np.sqrt(two_mv + q * q)
+        depth = q / (k_n * a) * np.log(two_mv / (k_n + q) ** 2)
+        seeds.append(sign * k_n + 1j * np.maximum(depth, _SEED_DEPTH))
+    return np.concatenate(seeds)
 
 
 def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
@@ -229,7 +229,7 @@ def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
     return k
 
 
-def _harvest(barrier: Barrier, rect, parity: str):
+def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
     """Distinct roots of W_parity inside rect, sorted by real part.
 
     Newton starts from the pole-index seeds of _index_seeds. A root is kept
@@ -237,12 +237,12 @@ def _harvest(barrier: Barrier, rect, parity: str):
     4 eps |k W'|/|W_numerator|); a candidate within _DEDUP_TOL of an earlier
     kept one is a duplicate, so the first seed to reach a root represents it.
     The closing evaluation shares the Newton loop's errstate: a seed with no
-    root nearby (a free barrier has none) may overflow or turn NaN, and then
-    fails the finiteness test without a warning.
+    root nearby may overflow or turn NaN, and then fails the finiteness test
+    without a warning.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = _newton(_index_seeds(barrier, rect), barrier, parity)
+        k = _newton(seeds, barrier, parity)
         W, dW, Wn = _w_values(k, barrier, parity)
         abs_wn = np.maximum(np.abs(Wn), 1e-300)
         cut = np.maximum(_POLISH_RTOL,
@@ -265,11 +265,11 @@ def _harvest(barrier: Barrier, rect, parity: str):
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    Per parity, the Newton harvest (see _harvest: one seed just below each
-    pole-index estimate k_n = sqrt(2mV + (n pi/a)^2), _NEWTON_STEPS damped
-    steps, duplicates within _DEDUP_TOL dropped) is cross-checked against
-    the argument-principle winding count, so a pole the seeds miss is a
-    CountMismatchError, not a short list. A root is kept if its relative
+    The seeds are formed once (_index_seeds; V a = 0 forms none and has no
+    poles). Per parity, the Newton harvest (see _harvest: _NEWTON_STEPS
+    damped steps, duplicates within _DEDUP_TOL dropped) is cross-checked
+    against the argument-principle winding count, so a pole the seeds miss
+    is a CountMismatchError, not a short list. A root is kept if its relative
     residual is below _POLISH_RTOL = 1e-12 or the rounding floor
     4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor:
     k ~ 1.000493 - 2.0e-5 i at a = 100 settles at 1.9e-12, and the floor
@@ -294,11 +294,13 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     re_lo, re_hi, im_lo, im_hi = rect
     if re_lo <= 0.0 <= re_hi and im_lo <= 0.0 <= im_hi:
         raise DomainError("search rectangle must exclude k = 0")
-    m = barrier.mass
+    seeds = _index_seeds(barrier, rect)
+    if not seeds.size:
+        return []
 
     out: list[ResonancePole] = []
     for parity in ("+", "-"):
-        roots = _harvest(barrier, rect, parity)
+        roots = _harvest(seeds, barrier, rect, parity)
         n_wind = winding_count(barrier, rect, parity)
         if n_wind != len(roots):
             raise CountMismatchError(
@@ -306,7 +308,7 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
             )
         for z in roots:
             Wz, _, Wnz = _w_values(z, barrier, parity)
-            E = z * z / (2.0 * m)
+            E = z * z / (2.0 * barrier.mass)
             gamma = -2.0 * E.imag
             out.append(ResonancePole(
                 parity=parity, k_pole=z, E_pole=E, E_R=E.real, Gamma=gamma,

@@ -122,6 +122,15 @@ class TestSweep:
         assert main(["--config", str(cfg), "sweep",
                      "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("body", ['["a"]', "5", "null", "[]", '"ab"'])
+    def test_config_file_not_an_object_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        out = tmp_path / "s.csv"
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["sweep"], ["resonances"]])
     def test_search_rect_is_not_a_config_key(self, tmp_path, capsys,
                                              command):
@@ -530,6 +539,30 @@ class TestResonancesCmd:
         assert code == 3
         assert "pole indices" in capsys.readouterr().err
         assert peak < 10_000_000
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, n_poles", [
+        (["--two-m-v", "4", "--a", "350"], 249),
+        (["--a", "1000", "--re-max", "1.2"], 211),
+        (["--a", "1000", "--re-min", "1.0", "--re-max", "1.01"], 45),
+    ])
+    def test_near_top_roots_of_thick_barriers_answer(self, tmp_path, flags,
+                                                     n_poles):
+        # each used to end in a count mismatch (exit 4)
+        out = tmp_path / "res.json"
+        assert main(["resonances", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["poles"]) == n_poles
+        assert report["remainder_check"]["ok"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--a", "700", "--re-min", "1.0", "--re-max", "1.1", "--im-min", "-2"],
+        ["--a", "2000", "--re-min", "1.0", "--re-max", "1.001"],
+    ])
+    def test_walk_overflow_fails_at_once(self, tmp_path, capsys, flags):
+        out = tmp_path / "res.json"
+        assert main(["resonances", *flags, "--out", str(out)]) == 3
+        assert "W is 0 or inf at k = " in capsys.readouterr().err
         assert not out.exists()
 
     def test_very_thick_barrier_answers(self, tmp_path):

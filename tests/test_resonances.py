@@ -179,6 +179,66 @@ class TestFindPoles:
         with pytest.raises(NonConvergenceError, match="pole indices"):
             find_poles(Barrier.from_two_mv(1.0, a), (0.5, 3.0, -1.0, 0.0))
 
+    @pytest.mark.parametrize("two_mv, a, rect", [
+        (4.0, 350.0, (0.5, 3.0, -1.0, 0.0)),
+        (1.0, 1000.0, (0.5, 1.2, -1.0, 0.0)),
+        (1.0, 1000.0, (1.0, 1.01, -1.0, 0.0)),
+    ])
+    def test_near_top_roots_of_thick_barriers(self, two_mv, a, rect):
+        # poles ~1e-6 under the real axis and ~3e-4 apart: seeds at Im -1e-3
+        # reached a neighbour first (winding 125 / 106 / 23 against a harvest
+        # of 124 / 102 / 19). Residuals reach 1.6e-9 at a = 1000, but each
+        # stays within 2 eps |k W'|/|W_num|, the rounding floor of W there.
+        b = Barrier.from_two_mv(two_mv, a)
+        dec = build_decomposition(b, rect)
+        for parity in ("+", "-"):
+            assert winding_count(b, rect, parity) == len(dec.poles_of(parity))
+        assert verify_remainder(dec)["ok"]
+        for p in dec.poles:
+            _, dW, Wn = resonances._w_values(p.k_pole, b, p.parity)
+            assert p.residual <= 2.0 * np.finfo(float).eps * abs(p.k_pole * dW / Wn)
+
+    def test_seed_at_fabry_perot_depth(self):
+        # the n = 3 root of 2mV = 4, a = 350 lies 1.04e-6 under the real axis
+        b = Barrier.from_two_mv(4.0, 350.0)
+        root = 2.00018127 - 1.0357e-6j
+        seeds = resonances._index_seeds(b, (0.5, 3.0, -1.0, 0.0))
+        seed = seeds[np.argmin(np.abs(seeds.real - root.real))]
+        assert abs(seed.real - root.real) < 1e-7
+        assert abs(seed.imag - root.imag) < 0.01 * abs(root.imag)
+
+    def test_seeds_formed_once(self, barrier, monkeypatch):
+        calls = []
+        index_seeds = resonances._index_seeds
+
+        def counting(*args):
+            calls.append(args)
+            return index_seeds(*args)
+
+        monkeypatch.setattr(resonances, "_index_seeds", counting)
+        assert find_poles(barrier, (0.5, 3.0, -1.0, 0.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("b", [Barrier.from_two_mv(0.0, 15.0),
+                                   Barrier(0.5, 0.0)],
+                             ids=["free", "zero-width"])
+    def test_no_barrier_forms_no_seeds(self, b, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("W evaluated")
+
+        assert resonances._index_seeds(b, (0.5, 3.0, -1.0, 0.0)).size == 0
+        monkeypatch.setattr(resonances, "_w_values", no_evaluation)
+        assert find_poles(b, (0.5, 3.0, -1.0, 0.0)) == []
+
+    @pytest.mark.parametrize("a, rect", [
+        (700.0, (1.0, 1.1, -2.0, 0.0)), (2000.0, (1.0, 1.001, -1.0, 0.0)),
+    ])
+    def test_walk_stops_where_w_overflows(self, a, rect):
+        # cosh(kappa a/2) overflows on the bottom edge; the walk used to split
+        # NaN segments, warning, until its evaluation budget ran out
+        with pytest.raises(NonConvergenceError, match="W is 0 or inf at k = "):
+            winding_count(Barrier.from_two_mv(1.0, a), rect, "+")
+
     def test_tall_barrier_lowest_resonance(self):
         # lowest over-barrier resonance of a tall barrier sits near
         # V + (pi/a)^2/(2m) (standard single-mode estimate)
