@@ -7,7 +7,9 @@ separators, '.' decimals, 17 significant digits, LF line endings, one leading
 row. JSON reports are sorted and indented.
 
 Exit codes: 0 ok, 2 configuration error (an output that cannot be opened
-included), 3 any other TunnelTimesError, 4 verification failure.
+included), 3 any other TunnelTimesError, 4 verification failure. An exit-3
+message starts "domain error:" for a DomainError and with the class name
+for any other error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .closedform import age_difference, budget_grid
 from .errors import (
     CountMismatchError,
+    DomainError,
     InsufficientFluxError,
     NonConvergenceError,
     TunnelTimesError,
@@ -393,7 +396,8 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
     except TunnelTimesError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        label = "domain error" if isinstance(exc, DomainError) else type(exc).__name__
+        print(f"{label}: {exc}", file=sys.stderr)
         return 3
 
 

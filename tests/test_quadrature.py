@@ -24,7 +24,8 @@ from tunneltimes.quadrature import (
     pv_integrate,
 )
 from tunneltimes.scattering import Barrier, amplitude_grid
-from tunneltimes.wavepacket import Packet, f_amp_and_deriv, momentum_density
+from tunneltimes.wavepacket import (Packet, f_amp_and_deriv, momentum_density,
+                                   sinc_and_deriv)
 
 
 class TestKronrodRule:
@@ -410,3 +411,40 @@ PINNED = [
                          ids=[f"{o.__name__}-{k0}-{L0:g}" for o, k0, L0, _ in PINNED])
 def test_oracle_values_pinned(barrier, oracle, k0, L0, value):
     assert oracle(Packet(k0, L0), barrier) == pytest.approx(value, rel=1e-12)
+
+
+DELAY_B_POINTS = [(k0, L0) for oracle, k0, L0, _ in PINNED if oracle is oracle_delay_B]
+
+
+class TestDelayBResidue:
+    """The pole residue that pv_integrate subtracts from the delay-B integrand."""
+
+    @pytest.mark.parametrize("k0, l0", DELAY_B_POINTS)
+    def test_residue_matches_closed_form(self, barrier, monkeypatch, k0, l0):
+        # at k = 0, F+ + F- = -2 and the bracket is 2 S(X) S'(X), X = k0 L0/2,
+        # so the residue is -4 C S(X) S'(X), C the integrand's prefactor
+        seen = []
+        residue = quadrature._residue
+        monkeypatch.setattr(quadrature, "_residue",
+                            lambda *args: seen.append(residue(*args)) or seen[-1])
+        oracle_delay_B(Packet(k0, l0), barrier)
+        c = 0.25j * barrier.mass * l0 * l0 / (2.0 * math.pi)
+        s, ds = sinc_and_deriv(np.array(0.5 * k0 * l0))
+        exact = -4.0 * c * s * ds
+        assert len(seen) == 1
+        assert abs(seen[0] - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("k0, l0", DELAY_B_POINTS)
+    def test_few_integrand_calls(self, barrier, monkeypatch, k0, l0):
+        # a residue with an O(d^2) error left a residual pole whose panels
+        # were bisected down to the width floor: 36-37 integrand calls
+        calls = []
+        orig = quadrature.amplitude_grid
+
+        def counting(k, b):
+            calls.append(k.size)
+            return orig(k, b)
+
+        monkeypatch.setattr(quadrature, "amplitude_grid", counting)
+        oracle_delay_B(Packet(k0, l0), barrier)
+        assert 0 < len(calls) <= 6

@@ -147,8 +147,8 @@ class TestFindPoles:
                                    Barrier(0.5, 0.0)],
                              ids=["free", "zero-width"])
     def test_no_poles_without_a_barrier(self, b):
-        # W+- has no zeros here; the seeds' orbits diverge, and evaluating
-        # them must not leak a RuntimeWarning (an error in this suite)
+        # W+- has no zeros here and V*a = 0 forms no seeds, so the search
+        # returns no pole and leaks no RuntimeWarning (an error in this suite)
         assert find_poles(b, (0.5, 3.0, -1.0, 0.0)) == []
 
     @pytest.mark.parametrize("a", [200.0, 250.0, 280.0])
