@@ -12,6 +12,7 @@ step sizes in one integrand call, c/(k - p) is subtracted over the whole
 window, the smooth remainder is integrated adaptively, and the exact PV of the
 subtracted term, c * ln((b-p)/(p-a)), is added back. A plain symmetric limit
 leaves an O(d^2) residual pole whose panels only the width floor accepts.
+Its amplitudes are real phases (scattering.parity_phases), which never overflow.
 
 Every oracle must declare the fastest exp(ikL) content of its integrand, and
 first-level panels span at most two periods 4*pi/L of it, so 10 Gauss nodes
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
 from .phasetime import phase_time_grid
-from .scattering import Barrier, amplitude_grid
+from .scattering import Barrier, parity_phases
 from .wavepacket import Packet, momentum_density, sinc_and_deriv
 
 # The Gauss-Kronrod (10, 21) pair, copied from QUADPACK's qk21 table
@@ -287,7 +288,8 @@ def oracle_delay_B(
     """Direct PV evaluation of the oscillatory outside-the-barrier delay.
 
     The packet bracket collapses to (L0^2/2) e^{i(a+L0)k} (S- S'+ - S+ S'-) at
-    x-+ = (k -+ k0) L0/2; with F+-, the fastest oscillation is e^{ik(2L0+a)}.
+    x-+ = (k -+ k0) L0/2; with F+- = e^{-ika} e^{-2i phi+-} it is a real factor
+    times e^{i(L0 k - phi+ - phi-)}, whose fastest oscillation is e^{ik(2L0+a)}.
 
     Not folded, though g(-k) = conj g(k): the PV route with the pole at 0
     reports a vanishing barrier's |k| <~ m V a spike as NonConvergenceError.
@@ -299,11 +301,11 @@ def oracle_delay_B(
         return 0.0
 
     def g(k):
-        F_p, F_m, _, _ = amplitude_grid(k, barrier)
+        phi_p, phi_m = parity_phases(k, barrier)
         s_m, ds_m = sinc_and_deriv(0.5 * L0 * (k - k0))
         s_p, ds_p = sinc_and_deriv(0.5 * L0 * (k + k0))
-        w = (s_m * ds_p - s_p * ds_m) * np.exp(1j * (a + L0) * k) / k
-        return (0.25j * m * L0 * L0 / (2.0 * math.pi)) * (F_p + F_m) * w
+        w = np.cos(phi_p - phi_m) * np.exp(1j * (L0 * k - phi_p - phi_m)) / k
+        return (0.5j * m * L0 * L0 / (2.0 * math.pi)) * (s_m * ds_p - s_p * ds_m) * w
 
     k_hi = _window_edge(packet)
     val = pv_integrate(g, 0.0, config, domain=(-k_hi, k_hi),

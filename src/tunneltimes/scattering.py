@@ -18,6 +18,9 @@ coefficients through R = (F+ + F-) e^{ika}/2 and T = (F+ - F-) e^{ika}/2.
 Although kappa itself has branch points at k**2 = 2 m V, the amplitudes are
 even in kappa and therefore single-valued in k; any square-root branch gives
 the same F+-.
+
+On the real axis parity_phases gives F+- in real arithmetic and never overflows: below
+the top it scales W+- by 1/cosh(kappa a/2) (Hartman, J. Appl. Phys. 33 (1962) 3427).
 """
 
 from __future__ import annotations
@@ -121,8 +124,8 @@ def amplitude_grid(k, barrier: Barrier):
     unimodular F+- = e^{i theta+-}: the transmission phase follows as
     theta = pi/2 + (theta+ + theta-)/2 + k a (mod pi), whereas arg T itself
     is rounding noise once |T| ~ e^{-kappa a}, and undefined where T = 0.
-    Where cosh(kappa a/2) overflows, F+- take their e^{-kappa a} = 0 limit,
-    e^{-ika}(k - i kappa)/(k + i kappa).
+    Where a W+- denominator reaches 1e300 in magnitude, F+- take their
+    e^{-kappa a} = 0 limit, e^{-ika}(k - i kappa)/(k + i kappa).
 
     Raises
     ------
@@ -132,21 +135,23 @@ def amplitude_grid(k, barrier: Barrier):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k, w = _w_terms(k, barrier)[::2]  # holds no reference to the kernel arrays
+        thick = False
         for num, den in w.values():
-            bad = np.abs(den) < POLE_RTOL * np.abs(num)
+            den_abs = np.abs(den)
+            bad = den_abs < POLE_RTOL * np.abs(num)
             if np.any(bad):
                 k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
                 raise PoleProximityError(
                     f"amplitude evaluated at or near a pole, k = {k_bad}")
+            # num/den reads 0, then inf/inf, near overflow; e^{-kappa a} < 1e-600 there
+            thick = thick | ~(den_abs < 1e300)
 
         phase = np.exp(-1j * k * barrier.width)
         (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
         F_p = phase * num_p / den_p
         F_m = phase * num_m / den_m
         r_p, r_m = num_p / den_p, num_m / den_m
-    thick = np.isnan(F_p) | np.isnan(F_m)
-    if thick.any():
-        # inf/inf there; e^{-kappa a} is 0 in double precision
+    if np.any(thick):
         kappa = np.sqrt(barrier.l0_sq - k * k)
         F_thick = phase * (k - 1j * kappa) / (k + 1j * kappa)
         F_p, F_m = np.where(thick, F_thick, F_p), np.where(thick, F_thick, F_m)
@@ -154,3 +159,26 @@ def amplitude_grid(k, barrier: Barrier):
         r_p, r_m = np.where(thick, r_thick, r_p), np.where(thick, r_thick, r_m)
     # not F+- / e^{-ika}: that phase underflows to 0 where Im k a < ~-745
     return F_p, F_m, (r_p + r_m) / 2.0, (r_p - r_m) / 2.0
+
+
+def parity_phases(k, barrier: Barrier):
+    """Real-axis parity phases (phi+, phi-), F+- = e^{-ika} e^{-2i phi+-}.
+
+    phi+- = arg of the W+- denominator. With u = 2mV - k^2, z = sqrt(|u|) a/2,
+    below the top (u >= 0, W+- divided by cosh z) they are arg(k + i kappa tanh z)
+    and arg(k (a/2) tanh(z)/z + i); above it arg(k cos z + i u (a/2) sin(z)/z)
+    and arg(k (a/2) sin(z)/z + i cos z). W+- != 0 for real k != 0, so there is
+    no pole check or thick branch. phi(-k) = -phi(k) mod pi; DomainError for complex k.
+    """
+    if np.iscomplexobj(k):
+        raise DomainError("parity_phases takes real k; use amplitude_grid off the axis")
+    k = np.asarray(k, dtype=float)
+    a, u = barrier.width, barrier.l0_sq - k * k
+    with np.errstate(over="ignore"):      # z = inf is fine; rounded as in amplitude_grid
+        z = np.sqrt(np.abs(u * a * a / 4.0))
+    below, zero = u >= 0.0, z == 0.0
+    y = np.where(below, 0.0, z)           # the trig argument, 0 below the top
+    # t = (a/2) tanh(z)/z (sin above the top), a/2 at z = 0, finite where z overflows
+    t = np.where(below, np.tanh(z), np.sin(y)) / np.where(zero, 1.0, np.sqrt(np.abs(u)))
+    t, c = np.where(zero, 0.5 * a, t), np.cos(y)
+    return np.arctan2(u * t, k * c), np.arctan2(c, k * t)

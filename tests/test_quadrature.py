@@ -197,20 +197,22 @@ class TestUnfoldedReference:
 
     @pytest.mark.parametrize("k0, l0", POINTS)
     def test_delay_B_pv_matches_fold(self, barrier, k0, l0):
-        # g(-k) = conj g(k), so the PV over [-k_hi, k_hi] is the ordinary
-        # integral of 2 Re g over [0, k_hi], whose integrand has no pole.
-        p, m, a, k_hi = Packet(k0, l0), barrier.mass, barrier.width, self._k_hi(k0, l0)
+        p = Packet(k0, l0)
+        assert oracle_delay_B(p, barrier) == pytest.approx(
+            _delay_B_fold(p, barrier), rel=1e-11)
 
-        def two_re_g(k):
-            F_p, F_m, _, _ = amplitude_grid(k, barrier)
-            f_m, df_m = f_amp_and_deriv(k - k0, p, a)
-            f_p, df_p = f_amp_and_deriv(k + k0, p, a)
-            g = (0.5j / (2.0 * math.pi)) * (m / k) * (F_p + F_m) * (f_m * df_p - f_p * df_m)
-            return 2.0 * g.real
 
-        folded = pv_integrate(two_re_g, None, domain=(0.0, k_hi),
-                              oscillation_length=l0).real
-        assert oracle_delay_B(p, barrier) == pytest.approx(folded, rel=1e-11)
+def _delay_B_fold(p, barrier):
+    """delay-B from amplitude_grid, folded: g(-k) = conj g(k), so the PV over
+    [-k_hi, k_hi] is the ordinary integral of 2 Re g over [0, k_hi], whose
+    integrand has no pole. Re g oscillates like cos((2 L0 + a) k)."""
+    k_hi = quadrature._window_edge(p)
+
+    def two_re_g(k):
+        return 2.0 * _delay_B_amplitude_form(k, p, barrier).real
+
+    return pv_integrate(two_re_g, None, domain=(0.0, k_hi),
+                        oscillation_length=2.0 * p.L0 + barrier.width).real
 
 
 def _delay_B_amplitude_form(k, p, barrier):
@@ -240,6 +242,23 @@ class TestDelayBBracket:
         ref = _delay_B_amplitude_form(k, p, barrier)
         got = seen[0](k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+class TestThickBarrier:
+    """delay-B at a = 1500, where cosh(kappa a/2) overflows below k ~ 0.32."""
+
+    THICK = Barrier.from_two_mv(1.0, 1500.0)
+
+    @pytest.mark.parametrize("l0", [150.0, 300.0])
+    def test_delay_B_pv_matches_fold(self, l0):
+        p = Packet(0.5, l0)
+        assert abs(oracle_delay_B(p, self.THICK) - _delay_B_fold(p, self.THICK)) <= 1e-7
+
+    @pytest.mark.parametrize("l0", [150.0, 300.0])
+    def test_delay_B_matches_closed_form(self, l0):
+        p = Packet(0.5, l0)
+        assert abs(oracle_delay_B(p, self.THICK)
+                   - age_difference(p, self.THICK).dtau_B) <= 1e-7
 
 
 class TestLargeL0:
@@ -378,13 +397,13 @@ class TestFailFast:
         # The near-branch-point pole of a vanishing barrier cannot be
         # resolved; the default budget must fail after few integrand calls.
         calls = []
-        orig = quadrature.amplitude_grid
+        orig = quadrature.parity_phases
 
         def counting(k, barrier):
             calls.append(k.size)
             return orig(k, barrier)
 
-        monkeypatch.setattr(quadrature, "amplitude_grid", counting)
+        monkeypatch.setattr(quadrature, "parity_phases", counting)
         b = Barrier.from_two_mv(2e-12, 15.0)
         with pytest.raises(NonConvergenceError):
             oracle_delay_B(Packet(0.7, 150.0), b)
@@ -439,12 +458,12 @@ class TestDelayBResidue:
         # a residue with an O(d^2) error left a residual pole whose panels
         # were bisected down to the width floor: 36-37 integrand calls
         calls = []
-        orig = quadrature.amplitude_grid
+        orig = quadrature.parity_phases
 
         def counting(k, b):
             calls.append(k.size)
             return orig(k, b)
 
-        monkeypatch.setattr(quadrature, "amplitude_grid", counting)
+        monkeypatch.setattr(quadrature, "parity_phases", counting)
         oracle_delay_B(Packet(k0, l0), barrier)
         assert 0 < len(calls) <= 6

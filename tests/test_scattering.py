@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tunneltimes.errors import DomainError, PoleProximityError
-from tunneltimes.scattering import Barrier, amplitude_grid
+from tunneltimes.phasetime import phase_time, phase_time_fd
+from tunneltimes.scattering import Barrier, amplitude_grid, parity_phases
 from tunneltimes.special import sinhc_w
 
 
@@ -150,12 +151,79 @@ class TestAmplitudes:
         assert np.max(np.abs(np.abs(F_m) - 1.0)) < 1e-12
         assert np.max(np.abs(np.abs(R) ** 2 + np.abs(T) ** 2 - 1.0)) < 1e-12
 
+    # the k where kappa a/2 sits in [709.6, 710.5], just below cosh overflow:
+    # the complex division num/den read F+- = 0 there
+    @pytest.mark.parametrize("a, k_lo, k_hi", [
+        (1500.0, 0.3203, 0.3209), (2000.0, 0.7040, 0.7045), (3000.0, 0.8809, 0.8812)])
+    def test_overflow_band_unimodular(self, a, k_lo, k_hi):
+        k = np.linspace(k_lo, k_hi, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            F_p, F_m, R, T = amplitude_grid(k, Barrier.from_two_mv(1.0, a))
+        assert np.max(np.abs(np.abs(F_p) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(F_m) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(R) ** 2 + np.abs(T) ** 2 - 1.0)) < 1e-12
+
+    def test_overflow_band_phase_time_fd(self):
+        b = Barrier.from_two_mv(1.0, 1500.0)
+        fd = phase_time_fd(0.3204, b)
+        assert math.isfinite(fd)
+        assert fd == pytest.approx(phase_time(0.3204, b), rel=1e-8)
+
     def test_pole_proximity_raises(self, barrier):
         from tunneltimes.resonances import find_poles
 
         pole = find_poles(barrier, (0.9, 1.2, -0.1, 0.0))[0]
         with pytest.raises(PoleProximityError):
             amplitude_grid(pole.k_pole, barrier)
+
+
+class TestParityPhases:
+    """The real-axis parity phases phi+- with F+- = e^{-ika} e^{-2i phi+-}."""
+
+    @staticmethod
+    def _ks(two_mv):
+        top = math.sqrt(two_mv)
+        k = np.concatenate([np.linspace(1e-9, 3.0 * top, 3001),
+                            [top, np.nextafter(top, 0.0), np.nextafter(top, 9.0),
+                             1e-300, 1e-12]])
+        return np.concatenate([k, -k])
+
+    @pytest.mark.parametrize("a", [0.5, 15.0, 60.0])
+    @pytest.mark.parametrize("two_mv", [1.0, 4.0, 1e4])
+    def test_reproduce_amplitude_grid(self, a, two_mv):
+        b = Barrier.from_two_mv(two_mv, a)
+        k = self._ks(two_mv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi_p, phi_m = parity_phases(k, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F_p, F_m, _, _ = amplitude_grid(k, b)
+        phase = np.exp(-1j * k * a)
+        assert np.max(np.abs(phase * np.exp(-2j * phi_p) - F_p)) <= 1e-14
+        assert np.max(np.abs(phase * np.exp(-2j * phi_m) - F_m)) <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.5, 15.0, 60.0])
+    @pytest.mark.parametrize("two_mv", [1.0, 4.0, 1e4])
+    def test_odd_mod_pi(self, a, two_mv):
+        b = Barrier.from_two_mv(two_mv, a)
+        k = self._ks(two_mv)
+        n = len(k) // 2
+        for phi in parity_phases(k, b):
+            # phi(k) + phi(-k) is a multiple of pi
+            assert np.max(np.abs(np.sin(phi[:n] + phi[n:]))) < 1e-14
+
+    def test_no_floating_point_error_when_thick(self):
+        b = Barrier.from_two_mv(1.0, 1e5)
+        k = np.linspace(-3.0, 3.0, 10001)
+        with np.errstate(all="raise"):
+            phi_p, phi_m = parity_phases(k, b)
+        assert np.all(np.isfinite(phi_p)) and np.all(np.isfinite(phi_m))
+
+    @pytest.mark.parametrize("k", [0.5 + 0.0j, np.array([0.5, 1.0 - 1e-3j])])
+    def test_refuses_complex_k(self, barrier, k):
+        with pytest.raises(DomainError):
+            parity_phases(k, barrier)
 
 
 class TestPhaseSweep:
