@@ -2,9 +2,9 @@
 
 All commands are deterministic (no random state anywhere): re-running with
 the same configuration produces byte-identical files. CSV output uses comma
-separators, '.' decimals, 17 significant digits, LF line endings, one leading
-'#' comment line naming the units and the full parameter set, then a header
-row. JSON reports are sorted and indented.
+separators, LF line endings, one leading '#' comment line naming the units
+and the full parameter set, then a header row. Each cell equals printf
+'%.17g' of its value (see csvformat). JSON reports are sorted and indented.
 
 Exit codes: 0 ok, 2 configuration error (an output that cannot be opened
 included), 3 any other TunnelTimesError, 4 verification failure. An exit-3
@@ -143,15 +143,14 @@ def _k0_grid(cfg: dict) -> np.ndarray:
 
 def _open_out(path: str):
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: str, obj) -> None:
     with _open_out(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _param_comment(barrier: Barrier) -> str:
@@ -162,18 +161,20 @@ def _param_comment(barrier: Barrier) -> str:
 
 
 def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
-    """One row per element of the broadcast columns, in C order."""
-    columns = [np.asarray(c) for c in columns]
-    line = ",".join(("%.17g" % c).replace("%", "%%") if c.ndim == 0 else "%.17g"
-                    for c in columns) + "\n"  # scalar columns formatted once
-    cols = np.broadcast_arrays(*(c for c in columns if c.ndim))
+    """One row per element of the broadcast columns, in C order; each cell
+    is '%.17g' of its value."""
+    # imported here, like scipy.linalg in the propagator, so start-up does
+    # not load the formatter
+    from .csvformat import BLOCK_CELLS, csv_rows
+
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    # leading-axis slices per block, so no whole-table array is built
+    step = max(1, BLOCK_CELLS // (math.prod(cols[0].shape[1:]) * len(cols)))
     with _open_out(path) as fh:
-        fh.write(comment + "\n" + ",".join(header) + "\n")
-        # 64 leading-axis slices at a time keep few Python floats alive
-        for i in range(0, len(cols[0]), 64):
-            block = np.stack([c[i:i + 64] for c in cols], axis=-1)
-            rows = block.reshape(-1, len(cols)).tolist()
-            fh.writelines(line % tuple(row) for row in rows)
+        fh.write(f"{comment}\n{','.join(header)}\n".encode())
+        for i in range(0, len(cols[0]), step):
+            block = np.stack([c[i:i + step] for c in cols], axis=-1)
+            fh.write(csv_rows(block.reshape(-1, len(cols))))
 
 
 SWEEP_COLUMNS = [

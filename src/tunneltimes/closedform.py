@@ -24,10 +24,13 @@ bp_outside_term; both are <= 0 for x in (0, pi). They die out for
 k0 L0 >> 1 and dominate for k0 L0 ~ 1, which is what makes the tunneling
 time depend on the packet size near zero momentum.
 
-The closed forms neglect residue corrections of the scattering amplitudes,
-which is legitimate only when m V a L0 is large; validity_ratio is that
-product and valid gates on it (threshold 50, inclusive, making the neglected
-exp(-m V a L0) < 2e-22).
+The closed forms neglect residue corrections of the scattering amplitudes;
+validity_ratio is m V a L0 and valid gates on it (threshold 50, inclusive).
+Passing the gate does not make the neglected terms small: at m V a L0 = 75
+(k0 = 0.5, L0 = 150) t_tunnel sits 1.6e-2 under oracle_tunneling_time for
+a = 1 and 2.7e-2 under it for 2mV = 100, a = 0.01. Both gaps are the
+Hilbert-partner term lambda'(k0)/L0, lambda(k) = (m/k) d ln(|T|/k)/dk,
+which this form leaves out.
 Outside the gate a ValidityWarning is issued but values are still returned,
 so parameter sweeps toward a -> 0 stay usable.
 """

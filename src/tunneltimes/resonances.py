@@ -234,8 +234,13 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
 
     Newton starts from the pole-index seeds of _index_seeds. A root is kept
     when it lies inside rect and |W|/|W_numerator| < max(_POLISH_RTOL,
-    4 eps |k W'|/|W_numerator|); a candidate within _DEDUP_TOL of an earlier
-    kept one is a duplicate, so the first seed to reach a root represents it.
+    4 eps |k W'|/|W_numerator|). A candidate within max(_DEDUP_TOL,
+    4 eps |W_numerator|/|W'|) of an earlier kept root, the larger of the
+    tolerance and that root's rounding radius, is a duplicate, so the first
+    seed to reach a root represents it. Badly conditioned roots need the
+    radius: at 2mV = 2e-12 two seeds settle on one root near Im k = -2 up
+    to 3e-4 apart, within its radius of 5e-4 to 1.5e-3.
+
     The closing evaluation shares the Newton loop's errstate: a seed with no
     root nearby may overflow or turn NaN, and then fails the finiteness test
     without a warning.
@@ -254,11 +259,14 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
             & (k.imag > im_lo + margin) & (k.imag < im_hi - margin)
             & np.isfinite(k)
         )
+        radius = np.maximum(_DEDUP_TOL, 4.0 * np.finfo(float).eps * abs_wn
+                            / np.abs(dW))[keep]
     cand = k[keep]
     roots = []
     while cand.size:
         roots.append(complex(cand[0]))
-        cand = cand[np.abs(cand - cand[0]) > _DEDUP_TOL]
+        far = np.abs(cand - cand[0]) > radius[0]
+        cand, radius = cand[far], radius[far]
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
@@ -267,11 +275,11 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
 
     The seeds are formed once (_index_seeds; V a = 0 forms none and has no
     poles). Per parity, the Newton harvest (see _harvest: _NEWTON_STEPS
-    damped steps, duplicates within _DEDUP_TOL dropped) is cross-checked
-    against the argument-principle winding count, so a pole the seeds miss
-    is a CountMismatchError, not a short list. A root is kept if its relative
-    residual is below _POLISH_RTOL = 1e-12 or the rounding floor
-    4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor:
+    damped steps, duplicates within a root's rounding radius dropped) is
+    cross-checked against the argument-principle winding count, so a pole
+    the seeds miss is a CountMismatchError, not a short list. A root is kept
+    if its relative residual is below _POLISH_RTOL = 1e-12 or the rounding
+    floor 4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor:
     k ~ 1.000493 - 2.0e-5 i at a = 100 settles at 1.9e-12, and the floor
     there is ~2e-11; at the reference barrier it stays under 1e-12.
 

@@ -198,6 +198,20 @@ class TestFindPoles:
             _, dW, Wn = resonances._w_values(p.k_pole, b, p.parity)
             assert p.residual <= 2.0 * np.finfo(float).eps * abs(p.k_pole * dW / Wn)
 
+    def test_badly_conditioned_duplicates_merge(self):
+        # on a vanishing barrier the seeds settle on the roots near Im k = -2
+        # up to 3e-4 apart, inside each root's rounding radius 4 eps
+        # |W_num|/|W'| (5e-4 to 1.5e-3); kept apart they read winding 5 !=
+        # harvest 10 for parity +
+        b = Barrier.from_two_mv(2e-12, 15.0)
+        rect = (0.5, 3.0, -3.0, 0.0)
+        dec = build_decomposition(b, rect)
+        counts = {parity: len(dec.poles_of(parity)) for parity in "+-"}
+        assert counts == {"+": 5, "-": 6}
+        for parity in "+-":
+            assert winding_count(b, rect, parity) == counts[parity]
+        assert verify_remainder(dec)["ok"]
+
     def test_seed_at_fabry_perot_depth(self):
         # the n = 3 root of 2mV = 4, a = 350 lies 1.04e-6 under the real axis
         b = Barrier.from_two_mv(4.0, 350.0)
