@@ -55,6 +55,6 @@ from .resonances import (
     winding_count,
 )
 from .scattering import Barrier, amplitude_grid
-from .wavepacket import Packet, f_amp, momentum_density
+from .wavepacket import Packet, momentum_density
 
 __version__ = "0.1.0"

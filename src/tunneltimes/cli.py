@@ -97,7 +97,7 @@ def load_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors included
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")

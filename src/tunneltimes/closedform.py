@@ -77,7 +77,7 @@ class TimeBudget:
 def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     """The budget from shared subexpressions, broadcast over k0 and L0.
 
-    With no barrier (V*a = 0) the parity amplitudes are exactly +-1, both
+    With no barrier (Barrier.is_free) the parity amplitudes are exactly +-1, both
     delays vanish identically and the inside/outside times reduce to the free
     values a*v_inv and L0*v_inv; the barrier formulas (which assume total
     reflection at k = 0) do not apply there.
@@ -92,7 +92,7 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     x = k0 * L0
     v = (m / k0) * (1.0 - sinc(x))
     tau = phase_time_grid(k0, barrier)
-    if barrier.height * barrier.width == 0.0:
+    if barrier.is_free:
         t_tun = a * v
         t_out = L0 * v
         bp_tunnel = t_tun - tau

@@ -44,7 +44,7 @@ from .special import psi_w, sinhc_w
 def phase_time_grid(k, barrier: Barrier):
     """Vectorized closed-form phase time; defined for any real k != 0.
 
-    Odd in k: tau_ph(-k) = -tau_ph(k). With no barrier (V*a = 0) the
+    Odd in k: tau_ph(-k) = -tau_ph(k). With no barrier (Barrier.is_free) the
     transmission phase is exactly k*a and tau_ph = m a / k. Where the closed
     form overflows (kappa a >~ 345) it returns the Hartman limit 2m/(k kappa).
     """
@@ -52,19 +52,21 @@ def phase_time_grid(k, barrier: Barrier):
     if np.any(k == 0.0):
         raise DomainError("phase time is singular at k = 0")
     m, a = barrier.mass, barrier.width
-    if barrier.height * barrier.width == 0.0:
+    if barrier.is_free:
         return m * a / k
     l0_sq = np.float64(barrier.l0_sq)    # its square overflows to inf, not an error
     u = l0_sq - k * k
     with np.errstate(over="ignore", invalid="ignore"):
+        a = np.float64(a)                # and so does its cube
         num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)
         s = sinhc_w(a * a * u)
         den = l0_sq**2 * a * a * s * s + 4.0 * k * k
         tau = (m / k) * num / den
-        thick = ~(np.isfinite(tau) & np.isfinite(den))
+        thick = ~(np.isfinite(tau) & np.isfinite(den)) & (u > 0.0)
         if thick.any():
             # e^{2 kappa a} overflows there, and tau_ph has long reached
-            # the Hartman limit 2m/(k kappa)
+            # the Hartman limit 2m/(k kappa); at and above the top an
+            # overflowing form (a^3 past the float range) stays NaN
             tau = np.where(thick, 2.0 * m / (k * np.sqrt(np.where(thick, u, 1.0))), tau)
     return tau
 
@@ -80,10 +82,10 @@ def k_tau_limit(barrier: Barrier) -> float:
     """The finite limit [k * tau_ph(k)] at k = 0.
 
     Equals (m/kappa0) sinh(2 kappa0 a)/sinh^2(kappa0 a) = 2m/(kappa0 tanh(kappa0 a))
-    with kappa0 = sqrt(2mV). Requires V*a > 0.
+    with kappa0 = sqrt(2mV). Requires a barrier (not Barrier.is_free).
     """
-    if barrier.height * barrier.width == 0.0:
-        raise DomainError("k*tau limit needs a barrier with V*a > 0")
+    if barrier.is_free:
+        raise DomainError("k*tau limit needs a barrier with 2mV*a > 0")
     k0 = barrier.kappa0
     return 2.0 * barrier.mass / (k0 * math.tanh(k0 * barrier.width))
 

@@ -22,11 +22,11 @@ within the local error budget, level-synchronously as in scipy's quad_vec: all
 panels of one level are scored together, their 21 nodes in one integrand call
 per block of at most _BLOCK_PANELS panels, and the rejected ones are bisected
 into the next level.
-Each level is charged to the panel budget before it is evaluated, so a
-refinement that cannot finish raises at once and names the level and
-k-interval where it stalled. The accepted 21-point values are summed by one
-np.sum in level order, so results are bit-deterministic for a given
-configuration.
+Each level is charged to the panel budget before it is evaluated, the first
+(counted as floats) before it is even built, so a refinement that cannot
+finish raises at once and names the level and k-interval where it stalled.
+The accepted 21-point values are summed by one np.sum in level order, so
+results are bit-deterministic for a given configuration.
 
 The truncation window is an absolute half-width around k0 (always covering a
 symmetric neighborhood of 0). Keeping it fixed as L0 grows makes the window
@@ -179,6 +179,20 @@ def pv_integrate(
             f"oscillation_length must be finite and > 0, got {oscillation_length}")
     cap = 4.0 * math.pi / oscillation_length
     p = float(pole) if pole is not None and lo < pole < hi else None
+    used = 0
+
+    def afford(n, level, k_lo, k_hi):
+        if used + n > config.max_panels:
+            raise NonConvergenceError(
+                f"panel budget max_panels={config.max_panels} exhausted at "
+                f"refinement level {level}: {n:.6g} unresolved panels span "
+                f"k in [{k_lo:.9g}, {k_hi:.9g}]"
+            )
+
+    # A breakpoint at the pole keeps every Gauss node strictly off it.
+    edges = [lo, hi] if p is None else [lo, p, hi]
+    spans = [(ea, eb, max(1.0, (eb - ea) / cap)) for ea, eb in zip(edges[:-1], edges[1:])]
+    afford(sum(n for _, _, n in spans), 0, lo, hi)  # counted as floats before it is built
     if p is not None:
         c = _residue(integrand, p, 1e-3 * min(p - lo, hi - p, 0.25 * cap))
 
@@ -193,24 +207,15 @@ def pv_integrate(
             gross = gross + np.abs(term)
         return vals, gross
 
-    # A breakpoint at the pole keeps every Gauss node strictly off it.
-    edges = [lo, hi] if p is None else [lo, p, hi]
-    pts = [np.linspace(ea, eb, max(1, math.ceil((eb - ea) / cap)) + 1)
-           for ea, eb in zip(edges[:-1], edges[1:])]
+    pts = [np.linspace(ea, eb, math.ceil(n) + 1) for ea, eb, n in spans]
     a, b = np.concatenate([x[:-1] for x in pts]), np.concatenate([x[1:] for x in pts])
 
     width_total = hi - lo
-    used = 0
     level = 0
     accepted = []
     while len(a):
+        afford(len(a), level, a.min(), b.max())
         used += len(a)
-        if used > config.max_panels:
-            raise NonConvergenceError(
-                f"panel budget max_panels={config.max_panels} exhausted at "
-                f"refinement level {level}: {len(a)} unresolved panels span "
-                f"k in [{a.min():.9g}, {b.max():.9g}]"
-            )
         g10, k21, fm = _score(f_eval, a, b)
         if level == 0:
             # The first level fixes the error-budget scale.
@@ -295,7 +300,7 @@ def oracle_delay_B(
     reports a vanishing barrier's |k| <~ m V a spike as NonConvergenceError.
     """
     k0, m, a, L0 = packet.k0, barrier.mass, barrier.width, packet.L0
-    if barrier.height * barrier.width == 0.0:
+    if barrier.is_free:
         # F+ + F- vanishes identically with no barrier; numerically the
         # integrand would be pure amplified rounding noise.
         return 0.0

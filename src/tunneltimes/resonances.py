@@ -76,22 +76,6 @@ class ResonanceDecomposition:
         return [p for p in self.poles if p.parity == parity]
 
 
-def _w_values(k, barrier: Barrier, parity: str):
-    """(W, dW/dk, W_numerator) of parity '+' or '-' from one kernel pass."""
-    kernels = ("cosh", "sinhc") if parity == "+" else ("cosh", "sinhc", "chi")
-    k, kern, w = _w_terms(k, barrier, parity, kernels)
-    Wn, W = w[parity]
-    c, s = kern["cosh"], kern["sinhc"]
-    a = barrier.width
-    if parity == "+":
-        dW = c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c)
-    else:
-        dW = ((a / 2.0) * s
-              - (a**3 * k * k / 8.0) * kern["chi"]
-              - 1j * (a * a * k / 4.0) * s)
-    return W, dW, Wn
-
-
 def _check_rect(rect) -> tuple[float, float, float, float]:
     re_lo, re_hi, im_lo, im_hi = map(float, rect)
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -144,25 +128,28 @@ def winding_count(barrier: Barrier, rect, parity: str) -> int:
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
     per_length = barrier.width / math.pi  # poles are ~pi/a apart along Re k
-    z = np.concatenate(
-        [np.linspace(z1, z2, endpoint=False, num=max(
-            _WIND_SEGMENTS, math.ceil(abs(z2 - z1) * per_length)))
-         for z1, z2 in zip(corners, corners[1:] + corners[:1])]
-        + [corners[:1]])
+    sides = [(z1, z2, max(_WIND_SEGMENTS, abs(z2 - z1) * per_length))
+             for z1, z2 in zip(corners, corners[1:] + corners[:1])]
     evals = 0
+
+    def afford(n):
+        if evals + n > _WIND_MAX_EVALS:
+            raise NonConvergenceError("winding walk budget exhausted")
 
     def w_of(z):
         nonlocal evals
+        afford(z.size)
         evals += z.size
-        if evals > _WIND_MAX_EVALS:
-            raise NonConvergenceError("winding walk budget exhausted")
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _w_terms(z, barrier, parity)[2][parity][1]  # the denominator W
+            w = _w_terms(z, barrier, parity)[parity][1]  # the denominator W
         bad = z[(w == 0) | ~np.isfinite(w)]
         if bad.size:
             raise NonConvergenceError(f"winding contour: W is 0 or inf at k = {bad[0]:.6g}")
         return w
 
+    afford(sum(n for _, _, n in sides) + 1)  # counted as floats before it is built
+    z = np.concatenate([np.linspace(z1, z2, endpoint=False, num=math.ceil(n))
+                        for z1, z2, n in sides] + [corners[:1]])
     w = w_of(z)
     z1, z2, w1, w2 = z[:-1], z[1:], w[:-1], w[1:]
     total = 0.0
@@ -193,8 +180,8 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     cover every n >= 1 whose +-k_n lies in [re_lo, re_hi], plus one index on
     each side. More than _MAX_INDICES indices raises NonConvergenceError
     before any seed is formed, as the index count grows with a and would
-    otherwise size the Newton arrays. Within it, V a = 0 gets no seeds:
-    W+ = k e^{-ika/2} and W- = i e^{-ika/2} have no zeros then.
+    otherwise size the Newton arrays. Within it, Barrier.is_free gets no
+    seeds: W+ = k e^{-ika/2} and W- = i e^{-ika/2} have no zeros then.
     """
     a, two_mv = barrier.width, barrier.l0_sq
     spans = []
@@ -207,39 +194,29 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
         raise NonConvergenceError(
             f"pole search: {n_indices:.3g} pole indices in the rectangle, "
             f"more than the {_MAX_INDICES} allowed")
-    if two_mv == 0.0 or a == 0.0:
+    if barrier.is_free:
         return np.empty(0, dtype=complex)
     seeds = []
     for sign, n_lo, n_hi in spans:
         q = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2) * math.pi / a
         k_n = np.sqrt(two_mv + q * q)
-        depth = q / (k_n * a) * np.log(two_mv / (k_n + q) ** 2)
+        with np.errstate(over="ignore"):  # k_n a = inf: depth 0
+            depth = q / (k_n * a) * np.log(two_mv / (k_n + q) ** 2)
         seeds.append(sign * k_n + 1j * np.maximum(depth, _SEED_DEPTH))
     return np.concatenate(seeds)
-
-
-def _newton(seeds: np.ndarray, barrier: Barrier, parity: str) -> np.ndarray:
-    """Each seed after _NEWTON_STEPS damped Newton steps on W_parity."""
-    k = seeds
-    for _ in range(_NEWTON_STEPS):
-        W, dW, _ = _w_values(k, barrier, parity)
-        step = W / dW
-        step = np.where(np.abs(step) > 0.2, 0.2 * step / np.abs(step), step)
-        k = k - step
-    return k
 
 
 def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
     """Distinct roots of W_parity inside rect, sorted by real part.
 
-    Newton starts from the pole-index seeds of _index_seeds. A root is kept
-    when it lies inside rect and |W|/|W_numerator| < max(_POLISH_RTOL,
-    4 eps |k W'|/|W_numerator|). A candidate within max(_DEDUP_TOL,
-    4 eps |W_numerator|/|W'|) of an earlier kept root, the larger of the
-    tolerance and that root's rounding radius, is a duplicate, so the first
-    seed to reach a root represents it. Badly conditioned roots need the
-    radius: at 2mV = 2e-12 two seeds settle on one root near Im k = -2 up
-    to 3e-4 apart, within its radius of 5e-4 to 1.5e-3.
+    Each seed takes _NEWTON_STEPS Newton steps on W_parity, none longer than
+    0.2. A root is kept when it lies inside rect and |W|/|W_numerator| <
+    max(_POLISH_RTOL, 4 eps |k W'|/|W_numerator|). A candidate within
+    max(_DEDUP_TOL, 4 eps |W_numerator|/|W'|) of an earlier kept root, the
+    larger of the tolerance and that root's rounding radius, is a duplicate,
+    so the first seed to reach a root represents it. Badly conditioned roots
+    need the radius: at 2mV = 2e-12 two seeds settle on one root near
+    Im k = -2 up to 3e-4 apart, within its radius of 5e-4 to 1.5e-3.
 
     The closing evaluation shares the Newton loop's errstate: a seed with no
     root nearby may overflow or turn NaN, and then fails the finiteness test
@@ -247,8 +224,13 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
     """
     re_lo, re_hi, im_lo, im_hi = rect
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = _newton(seeds, barrier, parity)
-        W, dW, Wn = _w_values(k, barrier, parity)
+        k = seeds
+        for _ in range(_NEWTON_STEPS):
+            _, W, dW = _w_terms(k, barrier, parity, slope=True)[parity]
+            step = W / dW
+            step = np.where(np.abs(step) > 0.2, 0.2 * step / np.abs(step), step)
+            k = k - step
+        Wn, W, dW = _w_terms(k, barrier, parity, slope=True)[parity]
         abs_wn = np.maximum(np.abs(Wn), 1e-300)
         cut = np.maximum(_POLISH_RTOL,
                          4.0 * np.finfo(float).eps * np.abs(k * dW) / abs_wn)
@@ -273,8 +255,8 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    The seeds are formed once (_index_seeds; V a = 0 forms none and has no
-    poles). Per parity, the Newton harvest (see _harvest: _NEWTON_STEPS
+    The seeds are formed once (_index_seeds; a free barrier forms none and
+    has no poles). Per parity, the Newton harvest (see _harvest: _NEWTON_STEPS
     damped steps, duplicates within a root's rounding radius dropped) is
     cross-checked against the argument-principle winding count, so a pole
     the seeds miss is a CountMismatchError, not a short list. A root is kept
@@ -315,7 +297,7 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
                 f"parity {parity}: winding count {n_wind} != harvest {len(roots)}"
             )
         for z in roots:
-            Wz, _, Wnz = _w_values(z, barrier, parity)
+            Wnz, Wz = _w_terms(z, barrier, parity)[parity]
             E = z * z / (2.0 * barrier.mass)
             gamma = -2.0 * E.imag
             out.append(ResonancePole(
@@ -395,7 +377,8 @@ def lorentzian_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
         if not p.is_resonance:
             continue
         hw = 0.5 * p.Gamma
-        total += (1.0 / p.Gamma) * hw * hw / ((E0 - p.E_R) ** 2 + hw * hw)
+        d = E0 - p.E_R
+        total += (1.0 / p.Gamma) * hw * hw / (d * d + hw * hw)
     return 2.0 * total
 
 

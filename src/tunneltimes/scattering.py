@@ -70,6 +70,11 @@ class Barrier:
             raise DomainError(f"2mV overflows for V = {self.height}, m = {self.mass}")
 
     @property
+    def is_free(self) -> bool:
+        """No barrier: 2mV a == 0 (F+- = +-1 exactly), an underflowing 2mV included."""
+        return self.l0_sq * self.width == 0.0
+
+    @property
     def l0_sq(self) -> float:
         """2 m V, the squared wavenumber scale of the barrier top."""
         return 2.0 * self.mass * self.height
@@ -85,7 +90,7 @@ class Barrier:
         return cls(height=two_mv / (2.0 * mass), width=width, mass=mass)
 
 
-def _w_terms(k, barrier: Barrier, parities="+-", kernels=("cosh", "sinhc")):
+def _w_terms(k, barrier: Barrier, parities="+-", slope=False):
     """The W+- numerators and denominators of the given parities, vectorized.
 
     The half-width forms scale numerator and denominator of the plain
@@ -97,24 +102,30 @@ def _w_terms(k, barrier: Barrier, parities="+-", kernels=("cosh", "sinhc")):
         W+ = k c +- i kappa sinh(kappa a/2),   W- = k (a/2) s +- i c,
 
     the + sign giving the denominators. k may be real or complex, scalar or
-    array. Returns (k, kern, w): kern maps each name in kernels, which must
-    include 'cosh' and 'sinhc', to that even kernel of (kappa a/2)^2 (one
-    special.even_kernels pass), and w = {parity: (num, den)}.
+    array. Returns {parity: (num, den)} from one special.even_kernels pass;
+    with slope, {parity: (num, den, d den/dk)}, the odd slope taking
+    chi = (c - s)/(kappa a/2)^2 from the same pass.
     """
     k = np.asarray(k, dtype=complex)
     a = barrier.width
     u = barrier.l0_sq - k * k            # kappa^2
-    kern = even_kernels(u * a * a / 4.0, kernels)
+    names = ("cosh", "sinhc", "chi") if slope and "-" in parities else ("cosh", "sinhc")
+    kern = even_kernels(u * a * a / 4.0, names)
     c, s = kern["cosh"], kern["sinhc"]
     w = {}
     if "+" in parities:
         kc = k * c
         ks = u * (a / 2.0) * s           # kappa * sinh(kappa a / 2)
         w["+"] = (kc - 1j * ks, kc + 1j * ks)
+        if slope:
+            w["+"] += (c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c),)
     if "-" in parities:
         kas = k * (a / 2.0) * s
         w["-"] = (kas - 1j * c, kas + 1j * c)
-    return k, kern, w
+        if slope:
+            w["-"] += ((a / 2.0) * s - (a**3 * k * k / 8.0) * kern["chi"]
+                       - 1j * (a * a * k / 4.0) * s,)
+    return w
 
 
 def amplitude_grid(k, barrier: Barrier):
@@ -134,7 +145,8 @@ def amplitude_grid(k, barrier: Barrier):
         POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k, w = _w_terms(k, barrier)[::2]  # holds no reference to the kernel arrays
+        k = np.asarray(k, dtype=complex)
+        w = _w_terms(k, barrier)
         thick = False
         for num, den in w.values():
             den_abs = np.abs(den)

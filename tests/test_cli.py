@@ -12,7 +12,7 @@ import pytest
 
 import tunneltimes
 from tunneltimes import (cli, closedform, errors, phasetime, propagator,
-                         quadrature)
+                         quadrature, resonances)
 from tunneltimes.cli import main
 
 
@@ -129,6 +129,17 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
         assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [None, '{"a": 1', b"\xff"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, body):
+        # missing, malformed JSON, not UTF-8
+        cfg = tmp_path / "cfg.json"
+        if body is not None:
+            (cfg.write_bytes if isinstance(body, bytes) else cfg.write_text)(body)
+        out = tmp_path / "s.csv"
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["sweep"], ["resonances"]])
@@ -567,6 +578,20 @@ class TestResonancesCmd:
             "NonConvergenceError: winding contour: W is 0 or inf at k = ")
         assert not out.exists()
 
+    def test_count_mismatch_exits_4_naming_both_counts(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a harvest one root short of the winding count
+        harvest = resonances._harvest
+        monkeypatch.setattr(resonances, "_harvest", lambda *args: harvest(*args)[1:])
+        out = tmp_path / "res.json"
+        assert main(["resonances", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        found = re.search(r"verification failure: parity \+: "
+                          r"winding count (\d+) != harvest (\d+)", err)
+        assert found, err
+        assert int(found[1]) == int(found[2]) + 1
+        assert not out.exists()
+
     def test_very_thick_barrier_answers(self, tmp_path):
         out = tmp_path / "res.json"
         assert main(["resonances", "--a", "200", "--out", str(out)]) == 0
@@ -653,6 +678,35 @@ class TestPropagate:
                                             "n_steps")] \
                 == [spec.x_min, spec.x_max, spec.dx, spec.dt, rec.n_steps]
 
+    def test_starved_k0_is_skipped(self, tmp_path, monkeypatch):
+        delay = cli.empirical_delay
+
+        def starving(packet, *args):
+            if packet.k0 != 1.0:
+                raise errors.InsufficientFluxError("no flux")
+            return delay(packet, *args)
+
+        monkeypatch.setattr(cli, "empirical_delay", starving)
+        out = tmp_path / "prop.csv"
+        assert main(["propagate", "--k0", "0.5", "--k0", "1.0", "--l0", "20",
+                     "--detector-x", "25", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows] == [1.0]
+        sidecar = json.loads((tmp_path / "prop.csv.gridinfo.json").read_text())
+        assert list(sidecar["grids"]) == ["1"]
+
+    def test_every_k0_starved_exits_3(self, tmp_path, capsys, monkeypatch):
+        def starving(*args):
+            raise errors.InsufficientFluxError("no flux")
+
+        monkeypatch.setattr(cli, "empirical_delay", starving)
+        out = tmp_path / "prop.csv"
+        assert main(["propagate", "--k0", "0.5", "--k0", "1.0",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "InsufficientFluxError: no requested k0 produced measurable flux\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_run_fails_fast(self, tmp_path, capsys):
         # 2.6e5 points x 3.7e5 steps at k0 = 0.01: over half an hour of
         # stepping, refused before any state is built
@@ -672,6 +726,52 @@ class TestPropagate:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestExtremeInputs:
+    # each used to end in a traceback (exit 1): a ZeroDivisionError where
+    # 2mV underflows, an OverflowError from a**3 or a squared energy, or a
+    # ValueError from a first quadrature or winding level too large to build
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--mass", "1e-300", "--height", "1e-300"], 0),
+        (["figure", "fig3", "--mass", "1e-300", "--height", "1e-300"], 0),
+        (["oracle-compare", "--mass", "1e-300", "--height", "1e-300",
+          "--k0", "0.5", "--l0", "150"], 0),
+        (["propagate", "--mass", "1e-300", "--height", "1e-300", "--k0", "1.0",
+          "--l0", "20", "--detector-x", "25"], 0),
+        (["sweep", "--a", "1e300"], 0),
+        (["figure", "fig3", "--a", "1e300"], 0),
+        (["figure", "fig4", "--a", "1e300"], 0),
+        (["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300"], 4),
+        (["oracle-compare", "--k0", "0.5", "--l0", "1e300"], 4),
+        (["oracle-compare", "--k0", "0.5", "--l0", "1e12"], 4),
+        (["resonances", "--two-m-v", "1e300", "--a", "1e300"], 3),
+        (["resonances", "--mass", "1e-300", "--height", "1e300"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_underflowing_two_mv_is_the_free_reduction(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--mass", "1e-300", "--height", "1e-300",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        col = {name: i for i, name in enumerate(header)}
+        for row in rows:
+            assert row[col["two_mV"]] == 0.0
+            assert row[col["tau_ph"]] == 1e-300 * 15.0 / row[col["k0"]]
+            assert row[col["dtau_A"]] == row[col["dtau_B"]] == 0.0
+
+    def test_oracle_panel_count_past_the_array_size(self, tmp_path):
+        # the dtau_B row's first level is 1.4e300 panels; it is refused
+        # before it is built, and the row names it
+        out = tmp_path / "oc.json"
+        assert main(["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300",
+                     "--out", str(out)]) == 4
+        rows = {row["quantity"]: row for row in json.loads(out.read_text())["rows"]}
+        assert "refinement level 0: 1.35282e+300 unresolved panels" \
+            in rows["dtau_B"]["note"]
 
 
 PACKAGE_ERRORS = [cls for cls in vars(errors).values()

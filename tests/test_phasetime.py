@@ -90,6 +90,26 @@ def test_two_mv_past_the_float_square_reaches_hartman_limit():
             assert phase_time(k, b) == pytest.approx(hartman, rel=1e-12)
 
 
+def test_width_cubed_past_the_float_range_reaches_hartman_limit():
+    # a^3 overflows a Python float at a = 1e300; below the top the closed
+    # form must still answer with 2m/(k kappa), without a warning
+    b = Barrier.from_two_mv(1.0, 1e300)
+    ks = np.array([0.01, 0.5, 0.99])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tau = phase_time_grid(ks, b)
+    np.testing.assert_allclose(tau, 2.0 / (ks * np.sqrt(1.0 - ks * ks)), rtol=1e-12)
+
+
+def test_k_tau_limit_at_the_underflow_edge():
+    # 2mV underflows to 0: the free barrier, refused rather than divided by 0
+    with pytest.raises(DomainError):
+        k_tau_limit(Barrier(1e-300, 15.0, 1e-300))
+    # just inside the edge, 2m/(kappa0 tanh(kappa0 a)) = 2m/(2mV a)
+    b = Barrier(1e-300, 1e-6)
+    assert k_tau_limit(b) == pytest.approx(2.0 / (b.l0_sq * b.width), rel=1e-12)
+
+
 def test_tall_thin_barrier_does_not_collapse_to_zero():
     # here only the denominator l0^4 a^2 Sc^2 overflows (kappa a ~ 346), which
     # made the closed form 0; the difference route loses digits to the

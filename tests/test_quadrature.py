@@ -132,6 +132,18 @@ class TestPvIntegrate:
         assert -1.0 <= k_lo < 0.3 < k_hi <= 2.0
         assert k_hi - k_lo < 0.1
 
+    @pytest.mark.parametrize("length", [1e12, 1e300, 1.7e308])
+    def test_first_level_charged_before_it_is_built(self, length):
+        # 17 L/(4 pi) first-level panels, from 1.4e12 to past the float
+        # range: refused before a node array, or the residue, is evaluated
+        def never(k):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(NonConvergenceError,
+                           match=r"refinement level 0: \S+ unresolved panels "
+                                 r"span k in \[-8.5, 8.5\]"):
+            pv_integrate(never, 0.0, domain=(-8.5, 8.5), oscillation_length=length)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_oscillation_length_must_be_finite_and_positive(self, length):
         with pytest.raises(DomainError, match="oscillation_length"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,7 +175,6 @@ class TestFindPoles:
         def no_evaluation(*args):
             raise AssertionError("W evaluated")
 
-        monkeypatch.setattr(resonances, "_w_values", no_evaluation)
         monkeypatch.setattr(resonances, "_w_terms", no_evaluation)
         with pytest.raises(NonConvergenceError, match="pole indices"):
             find_poles(Barrier.from_two_mv(1.0, a), (0.5, 3.0, -1.0, 0.0))
@@ -195,7 +195,7 @@ class TestFindPoles:
             assert winding_count(b, rect, parity) == len(dec.poles_of(parity))
         assert verify_remainder(dec)["ok"]
         for p in dec.poles:
-            _, dW, Wn = resonances._w_values(p.k_pole, b, p.parity)
+            Wn, _, dW = resonances._w_terms(p.k_pole, b, p.parity, slope=True)[p.parity]
             assert p.residual <= 2.0 * np.finfo(float).eps * abs(p.k_pole * dW / Wn)
 
     def test_badly_conditioned_duplicates_merge(self):
@@ -241,8 +241,25 @@ class TestFindPoles:
             raise AssertionError("W evaluated")
 
         assert resonances._index_seeds(b, (0.5, 3.0, -1.0, 0.0)).size == 0
-        monkeypatch.setattr(resonances, "_w_values", no_evaluation)
+        monkeypatch.setattr(resonances, "_w_terms", no_evaluation)
         assert find_poles(b, (0.5, 3.0, -1.0, 0.0)) == []
+
+    @pytest.mark.parametrize("a", [1e7, 1e300, 1.7e308])
+    def test_walk_budget_charged_before_the_first_level(self, a, monkeypatch):
+        # max(48, |side| a/pi) segments per side, up to past the float
+        # range: refused before the first level is built or W evaluated
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("W evaluated")
+
+        monkeypatch.setattr(resonances, "_w_terms", no_evaluation)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergenceError, match="winding walk budget exhausted"):
+                winding_count(Barrier.from_two_mv(1.0, a), (0.5, 3.0, -1.0, 0.0), "+")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("a, rect", [
         (700.0, (1.0, 1.1, -2.0, 0.0)), (2000.0, (1.0, 1.001, -1.0, 0.0)),
@@ -279,7 +296,7 @@ def _plain_newton(seeds, barrier, parity):
     k = seeds.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(resonances._NEWTON_STEPS):
-            W, dW, _ = resonances._w_values(k, barrier, parity)
+            _, W, dW = resonances._w_terms(k, barrier, parity, slope=True)[parity]
             step = W / dW
             step = np.where(np.abs(step) > 0.2,
                             0.2 * step / np.abs(step), step)
@@ -292,7 +309,7 @@ def _plain_harvest(barrier, rect, parity, seeds):
     re_lo, re_hi, im_lo, im_hi = rect
     k = _plain_newton(seeds, barrier, parity)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        W, dW, Wn = resonances._w_values(k, barrier, parity)
+        Wn, W, dW = resonances._w_terms(k, barrier, parity, slope=True)[parity]
         abs_wn = np.maximum(np.abs(Wn), 1e-300)
         cut = np.maximum(resonances._POLISH_RTOL,
                          4.0 * np.finfo(float).eps * np.abs(k * dW) / abs_wn)
@@ -307,7 +324,7 @@ def _plain_harvest(barrier, rect, parity, seeds):
     roots.sort(key=lambda z: (z.real, z.imag))
     residuals = []
     for z in roots:
-        Wz, _, Wnz = resonances._w_values(z, barrier, parity)
+        Wnz, Wz = resonances._w_terms(z, barrier, parity)[parity]
         residuals.append(float(abs(Wz) / abs(Wnz)))
     return roots, residuals
 
@@ -358,17 +375,20 @@ class TestMaskedNewton:
             assert all(abs(g - r) <= 1e-13 for g, r in zip(got, roots))
 
     def test_work_counter(self, barrier, monkeypatch):
-        # each seed costs _NEWTON_STEPS steps and one harvest evaluation,
-        # each root one residual; the 0.05 grid spent 28,179 points here
+        # each seed costs _NEWTON_STEPS steps and one harvest evaluation;
+        # the 0.05 grid spent 28,179 points here. Only slope evaluations
+        # count: the winding walk has its own budget, and the residuals
+        # take no slope.
         rect = (0.5, 3.0, -1.0, 0.0)
         points = {"+": 0, "-": 0}
-        w_values = resonances._w_values
+        w_terms = resonances._w_terms
 
-        def counting(k, b, parity):
-            points[parity] += np.size(k)
-            return w_values(k, b, parity)
+        def counting(k, b, parity, slope=False):
+            if slope:
+                points[parity] += np.size(k)
+            return w_terms(k, b, parity, slope)
 
-        monkeypatch.setattr(resonances, "_w_values", counting)
+        monkeypatch.setattr(resonances, "_w_terms", counting)
         poles = find_poles(barrier, rect)
         n_seeds = resonances._index_seeds(barrier, rect).size
         for parity in ("+", "-"):
@@ -378,30 +398,33 @@ class TestMaskedNewton:
         assert sum(points.values()) < 28_179 / 4
 
     def test_one_kernel_pass_per_point_evaluation(self, barrier, monkeypatch):
-        # each _w_values call makes exactly one even-kernel pass; the other
-        # passes belong to the winding walk, one per bisection level
-        counts = {"w_values": 0, "inside": 0, "outside": 0}
+        # each slope evaluation of _w_terms makes exactly one even-kernel
+        # pass; the other passes belong to the winding walk, one per
+        # bisection level, and to the residuals
+        counts = {"slope": 0, "inside": 0, "outside": 0}
         inside = []
         even_kernels = scattering.even_kernels
-        w_values = resonances._w_values
+        w_terms = resonances._w_terms
 
         def counting_kernels(w, names):
             counts["inside" if inside else "outside"] += 1
             return even_kernels(w, names)
 
-        def counting_values(k, b, parity):
-            counts["w_values"] += 1
+        def counting_values(k, b, parity, slope=False):
+            if not slope:
+                return w_terms(k, b, parity)
+            counts["slope"] += 1
             inside.append(parity)
             try:
-                return w_values(k, b, parity)
+                return w_terms(k, b, parity, slope)
             finally:
                 inside.pop()
 
         for module in (scattering, special):  # special's views call it too
             monkeypatch.setattr(module, "even_kernels", counting_kernels)
-        monkeypatch.setattr(resonances, "_w_values", counting_values)
+        monkeypatch.setattr(resonances, "_w_terms", counting_values)
         find_poles(barrier, (0.5, 3.0, -1.0, 0.0))
-        assert counts["inside"] == counts["w_values"] > 0
+        assert counts["inside"] == counts["slope"] > 0
         assert counts["outside"] > 0
 
 

@@ -21,6 +21,17 @@ class TestBarrier:
         assert b.height == pytest.approx(1.0)
         assert b.l0_sq == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("kwargs, free", [
+        (dict(height=0.0, width=15.0), True),
+        (dict(height=0.5, width=0.0), True),
+        (dict(height=1e-300, width=15.0, mass=1e-300), True),  # 2mV underflows
+        (dict(height=1e-300, width=1e-30), True),              # 2mV a underflows
+        (dict(height=1e-300, width=1e-6), False),              # 2mV a = 2e-306
+        (dict(height=1e-300, width=15.0, mass=1e-8), False),   # 2mV = 2e-308
+    ])
+    def test_is_free_at_the_underflow_edge(self, kwargs, free):
+        assert Barrier(**kwargs).is_free is free
+
     @pytest.mark.parametrize("kwargs", [
         dict(height=-1.0, width=1.0),
         dict(height=1.0, width=-1.0),
