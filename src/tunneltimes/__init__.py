@@ -22,7 +22,6 @@ from .errors import (
     ImaginaryResidueError,
     InsufficientFluxError,
     NonConvergenceError,
-    PoleProximityError,
     TunnelTimesError,
     ValidityWarning,
 )

@@ -80,7 +80,8 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     With no barrier (Barrier.is_free) the parity amplitudes are exactly +-1, both
     delays vanish identically and the inside/outside times reduce to the free
     values a*v_inv and L0*v_inv; the barrier formulas (which assume total
-    reflection at k = 0) do not apply there.
+    reflection at k = 0) do not apply there. Just inside that edge the
+    branch-point term can overflow, which raises DomainError.
     """
     k0 = np.asarray(k0, dtype=float)
     L0 = np.asarray(L0, dtype=float)
@@ -98,7 +99,11 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
         bp_tunnel = t_tun - tau
         bp_outside = t_out - (m / k0) * L0
     else:
-        bp_tunnel = -np.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
+        with np.errstate(over="ignore"):
+            bp_tunnel = -np.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
+        if np.any(np.isinf(bp_tunnel)):  # [k tau]_0 ~ 1/(m V a) just inside the free edge
+            raise DomainError(
+                f"branch-point term overflows at 2mV a = {barrier.l0_sq * a:.6g}")
         half = sinc(x / 2.0)
         bp_outside = -(m / k0) * L0 * half * half
         t_tun = tau + bp_tunnel

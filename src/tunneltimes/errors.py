@@ -9,10 +9,6 @@ class DomainError(TunnelTimesError, ValueError):
     """A physical parameter is outside the domain of the requested quantity."""
 
 
-class PoleProximityError(TunnelTimesError, ArithmeticError):
-    """A scattering amplitude was evaluated at or numerically on top of a pole."""
-
-
 class NonConvergenceError(TunnelTimesError, RuntimeError):
     """An adaptive numerical scheme exhausted its budget before reaching tolerance."""
 

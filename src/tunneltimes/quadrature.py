@@ -23,8 +23,9 @@ panels of one level are scored together, their 21 nodes in one integrand call
 per block of at most _BLOCK_PANELS panels, and the rejected ones are bisected
 into the next level.
 Each level is charged to the panel budget before it is evaluated, the first
-(counted as floats) before it is even built, so a refinement that cannot
-finish raises at once and names the level and k-interval where it stalled.
+(counted as floats) before it is even built, and a non-finite level raises once
+scored, so a refinement that cannot finish raises at once and names the level
+and k-interval where it stalled.
 The accepted 21-point values are summed by one np.sum in level order, so
 results are bit-deterministic for a given configuration.
 
@@ -167,9 +168,9 @@ def pv_integrate(
     DomainError
         If the domain is empty or oscillation_length is not finite and > 0.
     NonConvergenceError
-        If the next refinement level would overrun config.max_panels. The
-        message names the level, its unresolved panels and the k-interval
-        they span.
+        If the next refinement level would overrun config.max_panels, or a
+        level's integrand values are not all finite. The message names the
+        level, its unresolved or non-finite panels and the k-interval they span.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -217,6 +218,11 @@ def pv_integrate(
         afford(len(a), level, a.min(), b.max())
         used += len(a)
         g10, k21, fm = _score(f_eval, a, b)
+        bad = ~np.isfinite(k21)  # a NaN never passes the error test below
+        if bad.any():
+            raise NonConvergenceError(
+                f"non-finite integrand at refinement level {level}: {bad.sum()} "
+                f"panels span k in [{a[bad].min():.9g}, {b[bad].max():.9g}]")
         if level == 0:
             # The first level fixes the error-budget scale.
             scale = float(np.sum(np.abs(k21)))

@@ -1,4 +1,4 @@
-"""Square-barrier scattering amplitudes on the real axis and in the complex plane.
+"""Square-barrier scattering amplitudes on the real axis, and W+- off it.
 
 Natural units with hbar = 1 throughout the package. The potential is V on
 |x| <= a/2 and zero outside. The decay constant inside the barrier is
@@ -19,8 +19,11 @@ Although kappa itself has branch points at k**2 = 2 m V, the amplitudes are
 even in kappa and therefore single-valued in k; any square-root branch gives
 the same F+-.
 
-On the real axis parity_phases gives F+- in real arithmetic and never overflows: below
-the top it scales W+- by 1/cosh(kappa a/2) (Hartman, J. Appl. Phys. 33 (1962) 3427).
+The amplitudes are evaluated on the real axis only, and both entries refuse complex k:
+amplitude_grid gives F+-, R and T, and parity_phases gives F+- in real arithmetic and
+never overflows: below the top it scales W+- by 1/cosh(kappa a/2) (Hartman, J. Appl.
+Phys. 33 (1962) 3427). Off the axis only the W+- of _w_terms are needed: their zeros
+are the resonance poles.
 """
 
 from __future__ import annotations
@@ -30,11 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleProximityError
+from .errors import DomainError
 from .special import even_kernels
-
-# Relative threshold below which an amplitude denominator counts as a pole hit.
-POLE_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -129,48 +129,32 @@ def _w_terms(k, barrier: Barrier, parities="+-", slope=False):
 
 
 def amplitude_grid(k, barrier: Barrier):
-    """Vectorized F+, F-, R, T; k may be real or complex, scalar or array.
+    """Vectorized F+, F-, R, T at real k, scalar or array; DomainError for complex k.
 
     This is the one entry to the amplitudes. Phases are best read from the
     unimodular F+- = e^{i theta+-}: the transmission phase follows as
     theta = pi/2 + (theta+ + theta-)/2 + k a (mod pi), whereas arg T itself
     is rounding noise once |T| ~ e^{-kappa a}, and undefined where T = 0.
-    Where a W+- denominator reaches 1e300 in magnitude, F+- take their
-    e^{-kappa a} = 0 limit, e^{-ika}(k - i kappa)/(k + i kappa).
-
-    Raises
-    ------
-    PoleProximityError
-        If the relative magnitude of an amplitude denominator falls below
-        POLE_RTOL, i.e. k sits on a resonance pole in the complex plane.
+    W+- != 0 for real k != 0, so there is no pole to meet; the resonance
+    poles are zeros of W+- off the axis, where _w_terms serves the pole
+    search. Where a W+- denominator reaches 1e300 in magnitude, F+- take
+    their e^{-kappa a} = 0 limit, e^{-ika}(k - i kappa)/(k + i kappa).
     """
+    if np.iscomplexobj(k):
+        raise DomainError("amplitude_grid takes real k; off the axis use _w_terms")
+    k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.asarray(k, dtype=complex)
         w = _w_terms(k, barrier)
-        thick = False
-        for num, den in w.values():
-            den_abs = np.abs(den)
-            bad = den_abs < POLE_RTOL * np.abs(num)
-            if np.any(bad):
-                k_bad = np.atleast_1d(k)[np.atleast_1d(bad)][0]
-                raise PoleProximityError(
-                    f"amplitude evaluated at or near a pole, k = {k_bad}")
-            # num/den reads 0, then inf/inf, near overflow; e^{-kappa a} < 1e-600 there
-            thick = thick | ~(den_abs < 1e300)
-
+        # num/den reads 0, then inf/inf, near overflow; e^{-kappa a} < 1e-600 there
+        thick = ~(np.abs(w["+"][1]) < 1e300) | ~(np.abs(w["-"][1]) < 1e300)
         phase = np.exp(-1j * k * barrier.width)
-        (num_p, den_p), (num_m, den_m) = w["+"], w["-"]
-        F_p = phase * num_p / den_p
-        F_m = phase * num_m / den_m
-        r_p, r_m = num_p / den_p, num_m / den_m
+        F_p, F_m = (phase * num / den for num, den in w.values())
     if np.any(thick):
-        kappa = np.sqrt(barrier.l0_sq - k * k)
+        kappa = np.sqrt(barrier.l0_sq - k * k + 0j)
         F_thick = phase * (k - 1j * kappa) / (k + 1j * kappa)
         F_p, F_m = np.where(thick, F_thick, F_p), np.where(thick, F_thick, F_m)
-        r_thick = (k - 1j * kappa) / (k + 1j * kappa)
-        r_p, r_m = np.where(thick, r_thick, r_p), np.where(thick, r_thick, r_m)
-    # not F+- / e^{-ika}: that phase underflows to 0 where Im k a < ~-745
-    return F_p, F_m, (r_p + r_m) / 2.0, (r_p - r_m) / 2.0
+    back = np.conj(phase) / 2.0           # 1/(2 e^{-ika}) on the real axis
+    return F_p, F_m, (F_p + F_m) * back, (F_p - F_m) * back
 
 
 def parity_phases(k, barrier: Barrier):
@@ -183,7 +167,7 @@ def parity_phases(k, barrier: Barrier):
     no pole check or thick branch. phi(-k) = -phi(k) mod pi; DomainError for complex k.
     """
     if np.iscomplexobj(k):
-        raise DomainError("parity_phases takes real k; use amplitude_grid off the axis")
+        raise DomainError("parity_phases takes real k; off the axis use _w_terms")
     k = np.asarray(k, dtype=float)
     a, u = barrier.width, barrier.l0_sq - k * k
     with np.errstate(over="ignore"):      # z = inf is fine; rounded as in amplitude_grid

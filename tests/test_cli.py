@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -747,10 +748,25 @@ class TestExtremeInputs:
         (["oracle-compare", "--k0", "0.5", "--l0", "1e12"], 4),
         (["resonances", "--two-m-v", "1e300", "--a", "1e300"], 3),
         (["resonances", "--mass", "1e-300", "--height", "1e300"], 0),
+        (["sweep", "--height", "1e-300", "--a", "1e-300"], 0),  # 2mV a underflows: free
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_exit_code(self, tmp_path, capsys, argv, code):
         assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", ["1e-23", "1e-8"])
+    def test_branch_point_overflow_is_a_domain_error(self, tmp_path, capsys, a):
+        # 2mV a = 2e-323 and 2e-308: not free, but the branch-point term
+        # [k tau]_0 sin(x)/(k0^2 L0) ~ 1/(m V a) leaves the float range
+        # ([k tau]_0 itself at 1e-23, the product at 1e-8)
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--height", "1e-300", "--a", a, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "domain error: branch-point term overflows" in err
+        assert "RuntimeWarning" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_underflowing_two_mv_is_the_free_reduction(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -773,6 +789,25 @@ class TestExtremeInputs:
         assert "refinement level 0: 1.35282e+300 unresolved panels" \
             in rows["dtau_B"]["note"]
 
+    def test_non_finite_tunneling_integrand_fails_in_one_call(self, tmp_path, monkeypatch):
+        # tau_ph is NaN for k >= 1 once a^3 overflows: the t_tunnel row
+        # fails on its first level instead of bisecting NaN panels
+        calls = []
+        grid = quadrature.phase_time_grid
+
+        def counting(k, barrier):
+            calls.append(k.size)
+            return grid(k, barrier)
+
+        monkeypatch.setattr(quadrature, "phase_time_grid", counting)
+        out = tmp_path / "oc.json"
+        assert main(["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300",
+                     "--out", str(out)]) == 4
+        rows = {row["quantity"]: row for row in json.loads(out.read_text())["rows"]}
+        assert rows["t_tunnel"]["note"] == ("non-finite integrand at refinement level 0: "
+                                            "90 panels span k in [1, 8.5]")
+        assert len(calls) == 1
+
 
 PACKAGE_ERRORS = [cls for cls in vars(errors).values()
                   if isinstance(cls, type) and issubclass(cls, Exception)
@@ -785,7 +820,7 @@ def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch,
                                            cls):
     # every package error is a TunnelTimesError and keeps a builtin base;
     # main picks the exit code by class
-    assert len(PACKAGE_ERRORS) == 8
+    assert len(PACKAGE_ERRORS) == 7
     assert issubclass(cls, tunneltimes.TunnelTimesError)
     assert cls is tunneltimes.TunnelTimesError or len(cls.__bases__) == 2
 

@@ -144,6 +144,21 @@ class TestPvIntegrate:
                                  r"span k in \[-8.5, 8.5\]"):
             pv_integrate(never, 0.0, domain=(-8.5, 8.5), oscillation_length=length)
 
+    def test_non_finite_level_raises_at_once(self):
+        # NaN on [0.5, 2.5] makes the first level's error scale NaN, and no
+        # panel would ever pass; the level raises after one integrand call
+        calls = []
+
+        def f(k):
+            calls.append(k.size)
+            return np.where((k >= 0.5) & (k <= 2.5), np.nan, np.exp(-(k * k))) + 0j
+
+        with pytest.raises(NonConvergenceError,
+                           match=r"^non-finite integrand at refinement level 0: 3 panels "
+                                 r"span k in \[0, 3\]$"):
+            pv_integrate(f, None, domain=(-4.0, 4.0), oscillation_length=4.0 * math.pi)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_oscillation_length_must_be_finite_and_positive(self, length):
         with pytest.raises(DomainError, match="oscillation_length"):
