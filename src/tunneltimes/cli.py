@@ -26,6 +26,7 @@ from .closedform import age_difference, budget_grid
 from .errors import (
     CountMismatchError,
     DomainError,
+    ImaginaryResidueError,
     InsufficientFluxError,
     NonConvergenceError,
     TunnelTimesError,
@@ -244,10 +245,11 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                     oracle = oracle_fn(packet, barrier)
                     gap = abs(closed - oracle)
                     ok = gap <= tol
-                except NonConvergenceError as exc:
+                except (NonConvergenceError, ImaginaryResidueError) as exc:
                     # unresolvable structure (e.g. the near-branch-point
-                    # pole of a vanishing barrier) counts as a failure;
-                    # the message names where refinement stalled
+                    # pole of a vanishing barrier), or an integrand that is
+                    # rounding noise and so not conj-even, counts as a
+                    # failure; the message names where refinement stalled
                     oracle = None
                     gap = None
                     ok = False

@@ -13,6 +13,12 @@ window, the smooth remainder is integrated adaptively, and the exact PV of the
 subtracted term, c * ln((b-p)/(p-a)), is added back. A plain symmetric limit
 leaves an O(d^2) residual pole whose panels only the width floor accepts.
 Its amplitudes are real phases (scattering.parity_phases), which never overflow.
+Its integrand is conj-even, g(-k) = conj g(k), so only k >= 0 is evaluated:
+each panel there stands for its mirror too, counting twice in the error scale
+and the panel budget, and the result is twice the real part of their sum. The
+error test, residue and budget are those of the whole window, so a vanishing
+barrier's spike still raises; the residue's nodes at -d, -d/2 check the
+symmetry the mirror relies on.
 
 Every oracle must declare the fastest exp(ikL) content of its integrand, and
 first-level panels span at most two periods 4*pi/L of it, so 10 Gauss nodes
@@ -73,8 +79,6 @@ _WK21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG10 = np.concatenate([_WG, _WG[::-1]])
 # Panels per integrand call: bounds the node arrays at 2048 * 21 points.
 _BLOCK_PANELS = 2048
-# Imaginary parts below this are rounding noise in any oracle result.
-_IMAG_ABS_FLOOR = 1e-10
 # Error budget: each panel's |G10 - K21| may take its width's share of this
 # fraction of the first level's sum of |K21|.
 _REL_TOL = 1e-5
@@ -89,7 +93,9 @@ class QuadratureConfig:
 
     max_panels caps the panels evaluated, first level included; each
     refinement level is charged in full before it is evaluated, so the budget
-    fails at the first level that would overrun it.
+    fails at the first level that would overrun it. A conj-even panel counts
+    twice, for itself and its mirror, so the outside delay's first level,
+    2 k_hi (2 L0 + a)/(4 pi) panels, is charged as on the whole window.
     """
 
     max_panels: int = 100_000
@@ -123,13 +129,21 @@ def _score(f_eval, a, b):
     return np.concatenate(g10), np.concatenate(k21), np.concatenate(fmax)
 
 
-def _residue(integrand, p, d):
+def _residue(integrand, p, d, conj_even):
     """Residue at the simple pole p from one integrand call at p -+ d, p -+ d/2.
 
     c(h) = h (f(p + h) - f(p - h))/2 is c + O(h^2); the Richardson step
-    (4 c(d/2) - c(d))/3 cancels the h^2 term.
+    (4 c(d/2) - c(d))/3 cancels the h^2 term. With conj_even, f(p - h) must be
+    conj f(p + h) within 1e-8 relative at both steps, or ImaginaryResidueError.
     """
     f = integrand(np.array([p + d, p - d, p + 0.5 * d, p - 0.5 * d]))
+    if conj_even:
+        defect = np.abs(f[1::2] - np.conj(f[::2]))
+        if np.any(defect > 1e-8 * np.abs(f[::2])):
+            raise ImaginaryResidueError(
+                f"integrand is not conj-even about k = {p}: at h = {d:.3g} and "
+                f"{0.5 * d:.3g}, |f(p - h) - conj f(p + h)| / |f(p + h)| = "
+                f"{np.max(defect / np.abs(f[::2])):.3g} > 1e-8")
     c_d = 0.5 * d * (f[0] - f[1])
     c_half = 0.25 * d * (f[2] - f[3])
     return complex((4.0 * c_half - c_d) / 3.0)
@@ -142,6 +156,7 @@ def pv_integrate(
     *,
     domain: tuple[float, float],
     oscillation_length: float,
+    conj_even: bool = False,
 ) -> complex:
     """Principal-value integral of a vectorized integrand over a window.
 
@@ -162,11 +177,23 @@ def pv_integrate(
         Fastest angular frequency L > 0 of exp(ikL) content; first-level
         panels span at most two periods 4 pi/L. Required, since panels wider
         than a period alias the Gauss-Kronrod error estimate.
+    conj_even : bool
+        The integrand obeys f(-k) = conj f(k) on a window (-hi, hi) with the
+        pole at 0. Only k >= 0 is evaluated: each panel there stands for
+        itself and its mirror, whose G10 and K21 are the conjugates and whose
+        |f| is the same, so it counts twice in the error scale and the panel
+        budget, and the result is 2 Re of the accepted K21 sum (the log term
+        vanishes). The error test, the width floor and the budget therefore
+        read as on the whole window.
 
     Raises
     ------
     DomainError
-        If the domain is empty or oscillation_length is not finite and > 0.
+        If the domain is empty, oscillation_length is not finite and > 0, or
+        conj_even is set without pole 0.0 and a domain (-hi, hi).
+    ImaginaryResidueError
+        If conj_even is set and the residue's integrand values at -d, -d/2
+        are not the conjugates of those at d, d/2 within 1e-8 relative.
     NonConvergenceError
         If the next refinement level would overrun config.max_panels, or a
         level's integrand values are not all finite. The message names the
@@ -178,8 +205,14 @@ def pv_integrate(
     if not 0.0 < oscillation_length < math.inf:
         raise DomainError(
             f"oscillation_length must be finite and > 0, got {oscillation_length}")
+    if conj_even and not (pole == 0.0 and lo == -hi):
+        raise DomainError(
+            f"conj_even needs the pole at 0 and a symmetric window, got pole "
+            f"{pole} on [{lo}, {hi}]")
     cap = 4.0 * math.pi / oscillation_length
     p = float(pole) if pole is not None and lo < pole < hi else None
+    # A conj-even panel on k >= 0 stands for itself and its mirror.
+    mult = 2 if conj_even else 1
     used = 0
 
     def afford(n, level, k_lo, k_hi):
@@ -190,12 +223,17 @@ def pv_integrate(
                 f"k in [{k_lo:.9g}, {k_hi:.9g}]"
             )
 
+    def extent(a, b):
+        # the k-interval of the panels [a, b] and of their mirrors
+        return (-b.max() if conj_even else a.min()), b.max()
+
     # A breakpoint at the pole keeps every Gauss node strictly off it.
-    edges = [lo, hi] if p is None else [lo, p, hi]
+    edges = [lo, hi] if p is None else [p, hi] if conj_even else [lo, p, hi]
     spans = [(ea, eb, max(1.0, (eb - ea) / cap)) for ea, eb in zip(edges[:-1], edges[1:])]
-    afford(sum(n for _, _, n in spans), 0, lo, hi)  # counted as floats before it is built
+    # counted as floats before it is built
+    afford(mult * sum(n for _, _, n in spans), 0, lo, hi)
     if p is not None:
-        c = _residue(integrand, p, 1e-3 * min(p - lo, hi - p, 0.25 * cap))
+        c = _residue(integrand, p, 1e-3 * min(p - lo, hi - p, 0.25 * cap), conj_even)
 
     def f_eval(k):
         # gross tracks the magnitudes before the pole subtraction cancels
@@ -215,17 +253,18 @@ def pv_integrate(
     level = 0
     accepted = []
     while len(a):
-        afford(len(a), level, a.min(), b.max())
-        used += len(a)
+        afford(mult * len(a), level, *extent(a, b))
+        used += mult * len(a)
         g10, k21, fm = _score(f_eval, a, b)
         bad = ~np.isfinite(k21)  # a NaN never passes the error test below
         if bad.any():
+            k_lo, k_hi = extent(a[bad], b[bad])
             raise NonConvergenceError(
-                f"non-finite integrand at refinement level {level}: {bad.sum()} "
-                f"panels span k in [{a[bad].min():.9g}, {b[bad].max():.9g}]")
+                f"non-finite integrand at refinement level {level}: {mult * bad.sum()} "
+                f"panels span k in [{k_lo:.9g}, {k_hi:.9g}]")
         if level == 0:
             # The first level fixes the error-budget scale.
-            scale = float(np.sum(np.abs(k21)))
+            scale = mult * float(np.sum(np.abs(k21)))
             if scale == 0.0:
                 scale = 1e-300
             tol_per_width = _REL_TOL * scale / width_total
@@ -243,21 +282,9 @@ def pv_integrate(
         level += 1
 
     total = complex(np.sum(np.concatenate(accepted)))
+    if conj_even:  # the mirrors add the conjugate; c ln(hi/hi) = 0
+        return complex(2.0 * total.real)
     return total if p is None else total + c * math.log((hi - p) / (p - lo))
-
-
-def _check_real(value: complex, what: str) -> float:
-    """Return the real part, rejecting any imaginary part above noise.
-
-    The absolute floor covers results that are themselves zero up to rounding
-    (sine nodes, free limits), where a relative test is meaningless.
-    """
-    imag = abs(value.imag)
-    if imag > 1e-8 * abs(value.real) and imag > _IMAG_ABS_FLOOR:
-        raise ImaginaryResidueError(
-            f"{what} came out complex: {value!r} (|imag| > 1e-8 |real|)"
-        )
-    return value.real
 
 
 def _window_edge(packet: Packet) -> float:
@@ -302,8 +329,13 @@ def oracle_delay_B(
     x-+ = (k -+ k0) L0/2; with F+- = e^{-ika} e^{-2i phi+-} it is a real factor
     times e^{i(L0 k - phi+ - phi-)}, whose fastest oscillation is e^{ik(2L0+a)}.
 
-    Not folded, though g(-k) = conj g(k): the PV route with the pole at 0
-    reports a vanishing barrier's |k| <~ m V a spike as NonConvergenceError.
+    Not folded onto the pole-free integral of 2 Re g over k > 0, though
+    g(-k) = conj g(k): the PV route keeps the residue subtraction and tests
+    the whole complex g, so it reports a vanishing barrier's |k| <~ m V a
+    spike as NonConvergenceError, where the fold would converge. It evaluates
+    only k >= 0 all the same (conj_even), at half the integrand points, and
+    returns a real total. Where 2mV is so small that g is rounding noise, g
+    is not conj-even at the residue nodes and ImaginaryResidueError is raised.
     """
     k0, m, a, L0 = packet.k0, barrier.mass, barrier.width, packet.L0
     if barrier.is_free:
@@ -319,6 +351,5 @@ def oracle_delay_B(
         return (0.5j * m * L0 * L0 / (2.0 * math.pi)) * (s_m * ds_p - s_p * ds_m) * w
 
     k_hi = _window_edge(packet)
-    val = pv_integrate(g, 0.0, config, domain=(-k_hi, k_hi),
-                       oscillation_length=2.0 * L0 + a)
-    return _check_real(val, "outside-delay oracle")
+    return pv_integrate(g, 0.0, config, domain=(-k_hi, k_hi),
+                        oscillation_length=2.0 * L0 + a, conj_even=True).real

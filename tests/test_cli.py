@@ -463,6 +463,17 @@ class TestOracleCompare:
             assert "refinement level" in row["note"]
             assert "max_panels=" in row["note"]
 
+    def test_noise_level_barrier_fails_its_delay_B_row(self, tmp_path):
+        # at 2mV = 1e-100 the delay-B integrand is rounding noise, not
+        # conj-even at the residue nodes: the row fails with the guard's note
+        out = tmp_path / "oc.json"
+        code = main(["oracle-compare", "--k0", "0.7", "--two-m-v", "1e-100",
+                     "--l0", "150", "--out", str(out)])
+        assert code == 4
+        rows = {row["quantity"]: row for row in json.loads(out.read_text())["rows"]}
+        assert rows["dtau_B"]["oracle"] is None
+        assert "not conj-even" in rows["dtau_B"]["note"]
+
 
     def test_thick_barrier_delay_B_row_passes(self, tmp_path):
         # cosh(kappa a/2) overflows at a = 1500; the amplitudes take their

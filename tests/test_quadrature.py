@@ -17,7 +17,6 @@ from tunneltimes.phasetime import phase_time_grid
 import tunneltimes.quadrature as quadrature
 from tunneltimes.quadrature import (
     QuadratureConfig,
-    _check_real,
     oracle_delay_B,
     oracle_inverse_velocity,
     oracle_tunneling_time,
@@ -176,9 +175,85 @@ class TestPvIntegrate:
         assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["max_panels"]
 
     def test_realness_guard(self):
-        with pytest.raises(ImaginaryResidueError):
-            _check_real(1.0 + 1e-3j, "test quantity")
-        assert _check_real(2.0 + 1e-12j, "test quantity") == 2.0
+        # the conj-even route's residue nodes reject a relative defect of
+        # 1e-3 between f(-k) and conj f(k) and let one of 1e-12 through
+        def kernel(defect):
+            return lambda k: np.exp(10j * k) / (1j * k) * (1.0 + defect * (k < 0.0))
+
+        with pytest.raises(ImaginaryResidueError, match="not conj-even"):
+            pv_integrate(kernel(1e-3), 0.0, domain=(-2.0, 2.0),
+                         oscillation_length=10.0, conj_even=True)
+        val = pv_integrate(kernel(1e-12), 0.0, domain=(-2.0, 2.0),
+                           oscillation_length=10.0, conj_even=True)
+        assert val == pytest.approx(2.0 * sici(20.0)[0], abs=1e-6)
+        assert val.imag == 0.0
+
+
+class TestConjEven:
+    """pv_integrate on k >= 0 only, for f(-k) = conj f(k) about a pole at 0."""
+
+    L, K = 10.0, 40.0
+
+    def _kernel(self, sizes):
+        # e^{ikL}/(ik) is conj-even; its PV over [-K, K] is 2 Si(KL)
+        def f(k):
+            sizes.append(k.size)
+            return np.exp(1j * k * self.L) / (1j * k)
+
+        return f
+
+    def test_value_is_twice_si(self):
+        val = pv_integrate(self._kernel([]), 0.0, domain=(-self.K, self.K),
+                           oscillation_length=self.L, conj_even=True)
+        assert val == pytest.approx(2.0 * sici(self.K * self.L)[0], abs=1e-6)
+        assert val.imag == 0.0
+
+    def test_matches_whole_window_on_half_the_points(self):
+        whole, half = [], []
+        ref = pv_integrate(self._kernel(whole), 0.0, domain=(-self.K, self.K),
+                           oscillation_length=self.L)
+        val = pv_integrate(self._kernel(half), 0.0, domain=(-self.K, self.K),
+                           oscillation_length=self.L, conj_even=True)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        # the four residue nodes come first in both
+        assert whole[0] == half[0] == 4
+        assert sum(half[1:]) <= 0.5 * sum(whole[1:])
+
+    def test_budget_failure_reads_as_on_the_whole_window(self):
+        # mirrored spikes of width 1e-10 at k = -+0.3: each evaluated panel
+        # counts twice in the error scale and the budget, so both routes stall
+        # at the same level with the same count and k-interval
+        def f(k):
+            spikes = 1.0 / ((k - 0.3) ** 2 + 1e-20) + 1.0 / ((k + 0.3) ** 2 + 1e-20)
+            return spikes + np.exp(1j * k * self.L) / (1j * k)
+
+        messages = []
+        for conj_even in (False, True):
+            with pytest.raises(NonConvergenceError) as info:
+                pv_integrate(f, 0.0, QuadratureConfig(max_panels=200),
+                             domain=(-2.0, 2.0), oscillation_length=self.L,
+                             conj_even=conj_even)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "refinement level 21: 32 unresolved panels" in messages[1]
+
+    @pytest.mark.parametrize("pole, domain", [
+        (None, (-40.0, 40.0)), (0.5, (-40.0, 40.0)), (0.0, (-40.0, 41.0)),
+        (0.0, (-1.0, math.e))])
+    def test_needs_pole_at_zero_and_symmetric_window(self, pole, domain):
+        def never(k):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(DomainError, match="conj_even"):
+            pv_integrate(never, pole, domain=domain, oscillation_length=self.L,
+                         conj_even=True)
+
+    def test_conj_odd_integrand_raises(self):
+        # e^{ikL}/k, the Cauchy kernel of the whole-window tests, is conj-odd
+        with pytest.raises(ImaginaryResidueError, match="not conj-even"):
+            pv_integrate(lambda k: np.exp(1j * k * self.L) / k, 0.0,
+                         domain=(-self.K, self.K), oscillation_length=self.L,
+                         conj_even=True)
 
 
 class TestCauchyReference:
@@ -269,6 +344,51 @@ class TestDelayBBracket:
         ref = _delay_B_amplitude_form(k, p, barrier)
         got = seen[0](k)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+class TestDelayBMirror:
+    """The conj-even symmetry that lets delay-B evaluate only k >= 0."""
+
+    @pytest.mark.parametrize("two_mv, a", [
+        (1.0, 0.01), (1.0, 15.0), (1.0, 1500.0), (2e-12, 15.0), (1e300, 15.0)])
+    def test_integrand_is_conj_even(self, monkeypatch, two_mv, a):
+        # measured against the gross size |C (S- S'+ - S+ S'-)/k|, the
+        # integrand with its unit phase and its cos(phi+ - phi-) factor set to
+        # 1: near the zeros of that factor, and everywhere on the vanishing
+        # barrier, g itself is a cancellation whose relative rounding is large
+        p, b = Packet(0.5, 150.0), Barrier.from_two_mv(two_mv, a)
+        seen = []
+        monkeypatch.setattr(quadrature, "pv_integrate",
+                            lambda g, *args, **kwargs: seen.append(g) or 0j)
+        oracle_delay_B(p, b)
+        # the window, the overflow band near k = 0.3204 at a = 1500, both
+        # sides of the barrier top at 2mV = 1, and below the top at 2e-12
+        k = np.concatenate([np.linspace(1e-4, quadrature._window_edge(p), 20001),
+                            np.linspace(0.3194, 0.3214, 2001),
+                            1.0 + np.linspace(-1e-3, 1e-3, 201),
+                            np.geomspace(1e-9, 1e-6, 31)])
+        s_m, ds_m = sinc_and_deriv(0.5 * p.L0 * (k - p.k0))
+        s_p, ds_p = sinc_and_deriv(0.5 * p.L0 * (k + p.k0))
+        gross = np.abs(0.5 * b.mass * p.L0**2 / (2.0 * math.pi)
+                       * (s_m * ds_p - s_p * ds_m) / k)
+        assert np.all(np.abs(seen[0](-k) - np.conj(seen[0](k))) <= 1e-12 * gross)
+
+    def test_half_the_points_and_none_below_the_residue_nodes(self, barrier, monkeypatch):
+        # the whole window took 182,956 points in 6 integrand calls
+        p = Packet(1.1, 3000.0)
+        ks = []
+        orig = quadrature.parity_phases
+
+        def recording(k, b):
+            ks.append(k)
+            return orig(k, b)
+
+        monkeypatch.setattr(quadrature, "parity_phases", recording)
+        oracle_delay_B(p, barrier)
+        d = 1e-3 * min(quadrature._window_edge(p),
+                       math.pi / (2.0 * p.L0 + barrier.width))
+        assert min(k.min() for k in ks) == -d
+        assert sum(k.size for k in ks) <= 0.51 * 182_956
 
 
 class TestThickBarrier:
@@ -434,6 +554,23 @@ class TestFailFast:
         b = Barrier.from_two_mv(2e-12, 15.0)
         with pytest.raises(NonConvergenceError):
             oracle_delay_B(Packet(0.7, 150.0), b)
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("k0", [0.692, 0.706])
+    def test_vanishing_barrier_delay_B_raises_on_a_small_budget(self, monkeypatch, k0):
+        # the benchmark's fail-fast call: a 2000-panel budget at the ends of
+        # its k0 range
+        calls = []
+        orig = quadrature.parity_phases
+
+        def counting(k, barrier):
+            calls.append(k.size)
+            return orig(k, barrier)
+
+        monkeypatch.setattr(quadrature, "parity_phases", counting)
+        b = Barrier.from_two_mv(2e-12, 15.0)
+        with pytest.raises(NonConvergenceError, match="max_panels=2000"):
+            oracle_delay_B(Packet(k0, 150.0), b, QuadratureConfig(max_panels=2000))
         assert 0 < len(calls) <= 100
 
 
