@@ -12,13 +12,20 @@ step sizes in one integrand call, c/(k - p) is subtracted over the whole
 window, the smooth remainder is integrated adaptively, and the exact PV of the
 subtracted term, c * ln((b-p)/(p-a)), is added back. A plain symmetric limit
 leaves an O(d^2) residual pole whose panels only the width floor accepts.
-Its amplitudes are real phases (scattering.parity_phases), which never overflow.
-Its integrand is conj-even, g(-k) = conj g(k), so only k >= 0 is evaluated:
-each panel there stands for its mirror too, counting twice in the error scale
-and the panel budget, and the result is twice the real part of their sum. The
-error test, residue and budget are those of the whole window, so a vanishing
+Its amplitudes are real phases (scattering.parity_phases), which never overflow,
+and its integrand is i r e^{i theta} with r and theta real, so the unit phase
+comes from one real cos/sin pair of theta written into the complex values
+(126-128 ns/point, against 145-147 for an np.exp(1j*theta) form, on the
+43,008-point block at (k0, L0) = (1.1, 3000), a = 15, measured together on
+2 cores).
+It is conj-even, g(-k) = conj g(k), so only k >= 0 is evaluated: each panel
+there stands for its mirror too, counting twice in the error scale and the
+panel budget, and the result is twice the real part of their sum. The error
+test, residue and budget are those of the whole window, so a vanishing
 barrier's spike still raises; the residue's nodes at -d, -d/2 check the
-symmetry the mirror relies on.
+symmetry the mirror relies on. The folded integrands are real, and real
+values stay real through the error test and the Gauss-Kronrod sums; only a
+subtracted pole term c * (1/(k - p)) makes values complex.
 
 Every oracle must declare the fastest exp(ikL) content of its integrand, and
 first-level panels span at most two periods 4*pi/L of it, so 10 Gauss nodes
@@ -125,7 +132,9 @@ def _score(f_eval, a, b):
         vals, gross = f_eval(mids[s:s + step, None] + h[:, None] * _X21)
         g10.append(np.dot(vals[:, 1::2], _WG10) * h)
         k21.append(np.dot(vals, _WK21) * h)
-        fmax.append(np.max(gross, axis=1))
+        # the max over each panel's 21 nodes, taken down the transposed
+        # copy: numpy reduces a short last axis about 3x slower
+        fmax.append(np.max(np.ascontiguousarray(gross.T), axis=0))
     return np.concatenate(g10), np.concatenate(k21), np.concatenate(fmax)
 
 
@@ -163,8 +172,9 @@ def pv_integrate(
     Parameters
     ----------
     integrand : callable
-        Maps an ndarray of real abscissas to complex values. Smooth on the
-        domain except for a simple pole at `pole`.
+        Maps an ndarray of real abscissas to real or complex values; real
+        values are summed as real. Smooth on the domain except for a simple
+        pole at `pole`.
     pole : float or None
         Real location of the one simple pole; None, or a pole outside the
         open domain, means none. Its residue is the Richardson extrapolation
@@ -237,13 +247,17 @@ def pv_integrate(
 
     def f_eval(k):
         # gross tracks the magnitudes before the pole subtraction cancels
-        # them; it sets the rounding floor of the remainder.
-        vals = np.asarray(integrand(k), dtype=complex)
+        # them; it sets the rounding floor of the remainder. A real integrand
+        # stays real unless a pole term is subtracted.
+        vals = np.asarray(integrand(k))
         gross = np.abs(vals)
         if p is not None:
-            term = c / (k - p)
-            vals = vals - term
-            gross = gross + np.abs(term)
+            inv = 1.0 / (k - p)
+            gross += abs(c) * np.abs(inv)
+            # vals - c * inv a part at a time, without a complex copy of inv
+            vals = vals.astype(complex)
+            vals.real -= c.real * inv
+            vals.imag -= c.imag * inv
         return vals, gross
 
     pts = [np.linspace(ea, eb, math.ceil(n) + 1) for ea, eb, n in spans]
@@ -344,11 +358,27 @@ def oracle_delay_B(
         return 0.0
 
     def g(k):
-        phi_p, phi_m = parity_phases(k, barrier)
+        # i r e^{i theta} with r real, from one cos/sin pair of theta; in
+        # place where it can be, since block-sized temporaries kept alive
+        # cost more in page faults than their arithmetic
         s_m, ds_m = sinc_and_deriv(0.5 * L0 * (k - k0))
         s_p, ds_p = sinc_and_deriv(0.5 * L0 * (k + k0))
-        w = np.cos(phi_p - phi_m) * np.exp(1j * (L0 * k - phi_p - phi_m)) / k
-        return (0.5j * m * L0 * L0 / (2.0 * math.pi)) * (s_m * ds_p - s_p * ds_m) * w
+        r = np.multiply(s_m, ds_p, out=ds_p)
+        r -= np.multiply(s_p, ds_m, out=s_p)
+        r *= 0.5 * m * L0 * L0 / (2.0 * math.pi)
+        phi_p, phi_m = parity_phases(k, barrier)
+        w = np.subtract(phi_p, phi_m, out=s_m)
+        w = np.cos(w, out=w)
+        w /= k
+        r *= w
+        theta = np.multiply(L0, k, out=ds_m)
+        theta -= phi_p
+        theta -= phi_m
+        out = np.empty(k.shape, dtype=complex)
+        np.multiply(r, np.sin(theta, out=phi_p), out=out.real)
+        np.negative(out.real, out=out.real)
+        np.multiply(r, np.cos(theta, out=phi_m), out=out.imag)
+        return out
 
     k_hi = _window_edge(packet)
     return pv_integrate(g, 0.0, config, domain=(-k_hi, k_hi),

@@ -169,12 +169,24 @@ def parity_phases(k, barrier: Barrier):
     if np.iscomplexobj(k):
         raise DomainError("parity_phases takes real k; off the axis use _w_terms")
     k = np.asarray(k, dtype=float)
+    # raveled so that even a 0-d k gives arrays the steps below can overwrite:
+    # a block-sized temporary kept alive costs more in page faults than its
+    # arithmetic
+    shape, k = k.shape, k.ravel()
     a, u = barrier.width, barrier.l0_sq - k * k
     with np.errstate(over="ignore"):      # z = inf is fine; rounded as in amplitude_grid
         z = np.sqrt(np.abs(u * a * a / 4.0))
     below, zero = u >= 0.0, z == 0.0
     y = np.where(below, 0.0, z)           # the trig argument, 0 below the top
     # t = (a/2) tanh(z)/z (sin above the top), a/2 at z = 0, finite where z overflows
-    t = np.where(below, np.tanh(z), np.sin(y)) / np.where(zero, 1.0, np.sqrt(np.abs(u)))
-    t, c = np.where(zero, 0.5 * a, t), np.cos(y)
-    return np.arctan2(u * t, k * c), np.arctan2(c, k * t)
+    t = np.tanh(z, out=z)
+    np.copyto(t, np.sin(y), where=~below)
+    root = np.sqrt(np.abs(u))
+    root[zero] = 1.0
+    t /= root
+    t[zero] = 0.5 * a
+    c = np.cos(y, out=y)
+    phi_p = np.arctan2(np.multiply(u, t, out=u), np.multiply(k, c, out=root), out=u)
+    phi_m = np.arctan2(c, np.multiply(k, t, out=t), out=t)
+    # [()] makes a 0-d k give scalars, as arctan2 of 0-d arrays does
+    return phi_p.reshape(shape)[()], phi_m.reshape(shape)[()]

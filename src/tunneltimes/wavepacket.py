@@ -47,17 +47,36 @@ class Packet:
 def sinc(x):
     """S(x) = sin(x)/x as a real array, equal to 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    s = np.sin(x)
+    with np.errstate(invalid="ignore"):  # 0/0, patched below
+        s = np.divide(s, x, out=np.empty_like(x))
+    s[x == 0.0] = 1.0
+    return s
 
 
 def sinc_and_deriv(x):
-    """(S(x), S'(x)) as real arrays, S(x) = sin(x)/x and S'(x) = (cos x - S)/x."""
+    """(S(x), S'(x)) as real arrays, S(x) = sin(x)/x and S'(x) = (cos x - S)/x.
+
+    One sin and one cos per argument; only x = 0 and |x| < _SERIES_CUT are
+    patched afterwards.
+    """
     x = np.asarray(x, dtype=float)
-    s = sinc(x)
-    small = np.abs(x) < _SERIES_CUT
-    ds = np.divide(np.cos(x) - s, x, out=np.empty_like(x), where=~small)
-    ds[small] = x[small] * np.polynomial.polynomial.polyval(x[small] ** 2, _DS_COEFFS)
-    return s, ds
+    shape, x = x.shape, x.ravel()
+    s, ds = np.sin(x), np.cos(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0, patched below
+        s /= x
+        ds -= s
+        ds /= x
+    small = np.flatnonzero(np.abs(x) < _SERIES_CUT)
+    xs = x[small]
+    s[small[xs == 0.0]] = 1.0
+    # Horner in x^2, as polyval does it, without polyval's per-call set-up
+    xx, acc = xs * xs, np.full_like(xs, _DS_COEFFS[-1])
+    for c in _DS_COEFFS[-2::-1]:
+        acc *= xx
+        acc += c
+    ds[small] = xs * acc
+    return s.reshape(shape), ds.reshape(shape)
 
 
 def f_amp_and_deriv(q, packet: Packet, barrier_width: float):

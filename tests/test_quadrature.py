@@ -95,6 +95,21 @@ class TestPvIntegrate:
         assert val.real == pytest.approx(expect, rel=1e-9)
         assert val.imag == 0.0
 
+    def test_real_integrand_stays_real(self):
+        # sin(kL)/k on [0, K], no pole: the same panels and sums whether the
+        # values come as a real or as a complex array
+        L, K = 10.0, 40.0
+
+        def f(k):
+            return np.sin(k * L) / k
+
+        real = pv_integrate(f, None, domain=(0.0, K), oscillation_length=L)
+        cplx = pv_integrate(lambda k: f(k) + 0j, None, domain=(0.0, K),
+                            oscillation_length=L)
+        assert real.imag == 0.0
+        assert abs(real - cplx) <= 1e-14 * abs(cplx)
+        assert real.real == pytest.approx(sici(K * L)[0], abs=1e-6)
+
     def test_asymmetric_window_log_terms(self):
         # PV int 1/k over [-1, e] = 1 exactly
         val = pv_integrate(lambda k: 1.0 / k + 0j, 0.0,

@@ -6,12 +6,14 @@ from scipy.integrate import quad
 
 from tunneltimes.errors import DomainError
 from tunneltimes.wavepacket import (
+    _SERIES_CUT,
     Packet,
     f_amp,
     f_amp_and_deriv,
     f_amp_deriv,
     momentum_density,
     sinc,
+    sinc_and_deriv,
 )
 
 A = 15.0
@@ -124,3 +126,39 @@ def test_sinc_kernel():
     x = np.array([-7.5, -1e-9, 0.0, 1e-9, 0.3, math.pi, 40.0])
     np.testing.assert_allclose(sinc(x), np.sinc(x / math.pi), rtol=1e-14, atol=1e-16)
     assert sinc(0.0) == 1.0
+
+
+def _sinc_and_deriv_reference(x):
+    """(S(x), S'(x)) of one float from math.sin and math.cos; S' by its
+    series below the cut, where (cos x - S)/x cancels."""
+    if x == 0.0:
+        return 1.0, 0.0
+    s = math.sin(x) / x
+    if abs(x) < _SERIES_CUT:
+        ds = x * sum((-1) ** n * 2 * n * x ** (2 * n - 2) / math.factorial(2 * n + 1)
+                     for n in range(1, 8))
+    else:
+        ds = (math.cos(x) - s) / x
+    return s, ds
+
+
+_SINC_POINTS = [1e-300, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                math.pi, 1e4, 1e8]
+_SINC_POINTS = [0.0] + _SINC_POINTS + [-x for x in _SINC_POINTS]
+
+
+@pytest.mark.parametrize("shape", ["elementwise", "0-d"])
+def test_sinc_and_deriv_against_math(shape):
+    # within 4 ulp of the values' scale: 1 for |x| <= 1, 1/|x| beyond
+    x = np.array(_SINC_POINTS)
+    if shape == "0-d":
+        pairs = [sinc_and_deriv(np.float64(xi)) for xi in x]
+        assert all(np.shape(s) == np.shape(ds) == () for s, ds in pairs)
+        s, ds = (np.array([pair[i] for pair in pairs]) for i in (0, 1))
+    else:
+        s, ds = sinc_and_deriv(x)
+    for xi, si, dsi in zip(x, s, ds):
+        ref_s, ref_ds = _sinc_and_deriv_reference(float(xi))
+        tol = 4.0 * math.ulp(1.0 if abs(xi) <= 1.0 else 1.0 / abs(xi))
+        assert abs(si - ref_s) <= tol, xi
+        assert abs(dsi - ref_ds) <= tol, xi
