@@ -4,7 +4,8 @@ All commands are deterministic (no random state anywhere): re-running with
 the same configuration produces byte-identical files. CSV output uses comma
 separators, LF line endings, one leading '#' comment line naming the units
 and the full parameter set, then a header row. Each cell equals printf
-'%.17g' of its value (see csvformat). JSON reports are sorted and indented.
+'%.17g' of its value (see csvformat). JSON reports are standard JSON,
+sorted and indented, with null for each value a command could not compute.
 
 Exit codes: 0 ok, 2 configuration error (an output that cannot be opened
 included), 3 any other TunnelTimesError, 4 verification failure. An exit-3
@@ -149,9 +150,19 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _json_ready(obj):
+    """obj with each non-finite float as None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: str, obj) -> None:
     with _open_out(path) as fh:
-        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(_json_ready(obj), allow_nan=False, indent=2,
+                             sort_keys=True) + "\n").encode())
 
 
 def _param_comment(barrier: Barrier) -> str:
@@ -178,13 +189,6 @@ def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
             fh.write(csv_rows(block.reshape(-1, len(cols))))
 
 
-SWEEP_COLUMNS = [
-    "k0", "L0", "a", "m", "two_mV", "tau_ph", "t_tunnel", "t_outside",
-    "t_age", "t_age0", "dtau_A", "dtau_B", "bp_tunnel_term",
-    "bp_outside_term", "valid_ratio",
-]
-
-
 def _closed_grid(cfg: dict, barrier: Barrier, l0s):
     """k0 grid and the closed-form budget over k0 (rows) x l0s (columns)."""
     k0s = _k0_grid(cfg)
@@ -194,11 +198,16 @@ def _closed_grid(cfg: dict, barrier: Barrier, l0s):
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     barrier = _barrier(cfg)
     k0s, tb = _closed_grid(cfg, barrier, sorted(cfg["L0"]))
-    _write_csv(cfg["out"], _param_comment(barrier), SWEEP_COLUMNS, [
-        tb.k0, tb.L0, barrier.width, barrier.mass, barrier.l0_sq, tb.tau_ph,
-        tb.t_tunnel, tb.t_outside, tb.t_age, tb.t0, tb.dtau_A, tb.dtau_B,
-        tb.bp_tunnel_term, tb.bp_outside_term, tb.validity_ratio,
-    ])
+    columns = {
+        "k0": tb.k0, "L0": tb.L0, "a": barrier.width, "m": barrier.mass,
+        "two_mV": barrier.l0_sq, "tau_ph": tb.tau_ph, "t_tunnel": tb.t_tunnel,
+        "t_outside": tb.t_outside, "t_age": tb.t_age, "t_age0": tb.t0,
+        "dtau_A": tb.dtau_A, "dtau_B": tb.dtau_B,
+        "bp_tunnel_term": tb.bp_tunnel_term,
+        "bp_outside_term": tb.bp_outside_term,
+        "valid_ratio": tb.validity_ratio}
+    _write_csv(cfg["out"], _param_comment(barrier), list(columns),
+               columns.values())
     return 0
 
 
@@ -225,8 +234,6 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
     report: dict = {"units": "natural, hbar=1", "barrier": {
         "a": barrier.width, "m": barrier.mass, "two_mV": barrier.l0_sq},
         "rows": [], "gap_ratios": []}
-    all_pass = True
-    gaps: dict = {}
     for k0 in cfg["k0_list"]:
         for l0 in l0s:
             packet = Packet(k0, l0)
@@ -244,25 +251,22 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                 try:
                     oracle = oracle_fn(packet, barrier)
                     gap = abs(closed - oracle)
-                    ok = gap <= tol
                 except (NonConvergenceError, ImaginaryResidueError) as exc:
                     # unresolvable structure (e.g. the near-branch-point
                     # pole of a vanishing barrier), or an integrand that is
                     # rounding noise and so not conj-even, counts as a
                     # failure; the message names where refinement stalled
-                    oracle = None
-                    gap = None
-                    ok = False
+                    oracle = gap = None
                     note = str(exc)
-                all_pass = all_pass and ok
-                gaps[(name, k0, l0)] = gap
                 report["rows"].append({
                     "quantity": name, "k0": k0, "L0": l0,
                     "closed": closed, "oracle": oracle, "gap": gap,
-                    "tolerance": tol, "pass": ok, "note": note,
-                    "validity_ratio": tb.validity_ratio,
+                    "tolerance": tol, "pass": gap is not None and gap <= tol,
+                    "note": note, "validity_ratio": tb.validity_ratio,
                     "validity_warning": not tb.valid,
                 })
+    gaps = {(r["quantity"], r["k0"], r["L0"]): r["gap"]
+            for r in report["rows"]}
     for (name, k0, l0), gap in sorted(gaps.items()):
         l0_double = 2.0 * l0
         gap_d = gaps.get((name, k0, l0_double))
@@ -271,9 +275,9 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
                 "quantity": name, "k0": k0, "L0_pair": [l0, l0_double],
                 "ratio": gap_d / gap,
             })
-    report["all_pass"] = all_pass
+    report["all_pass"] = all(r["pass"] for r in report["rows"])
     _write_json(cfg["out"], report)
-    return 0 if all_pass else 4
+    return 0 if report["all_pass"] else 4
 
 
 def cmd_resonances(cfg: dict, args: argparse.Namespace) -> int:
@@ -316,14 +320,12 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
     detector = cfg["detector_x"]
     rows = []
     sidecar = {"detector_x": detector, "L0": l0, "grids": {}}
-    starved = 0
     for k0 in cfg["k0_list"]:
         packet = Packet(k0, l0)
         tb = age_difference(packet, barrier)
         try:
             delay, rec, _ = empirical_delay(packet, barrier, detector)
         except InsufficientFluxError:
-            starved += 1
             continue
         rows.append([k0, delay, tb.dtau_A + tb.dtau_B,
                      rec.transmitted_fraction])
@@ -337,7 +339,7 @@ def cmd_propagate(cfg: dict, args: argparse.Namespace) -> int:
             "cn_phase_error": cn_error,
             "lattice_dispersion_error": lattice_error,
         }
-    if starved == len(cfg["k0_list"]):
+    if not rows:
         raise InsufficientFluxError("no requested k0 produced measurable flux")
     _write_csv(cfg["out"], _param_comment(barrier),
                ["k0", "empirical_delay", "closed_form_delay",

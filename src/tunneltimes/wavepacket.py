@@ -47,9 +47,9 @@ class Packet:
 def sinc(x):
     """S(x) = sin(x)/x as a real array, equal to 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    s = np.sin(x)
+    s = np.sin(x, out=np.empty_like(x))
     with np.errstate(invalid="ignore"):  # 0/0, patched below
-        s = np.divide(s, x, out=np.empty_like(x))
+        s /= x
     s[x == 0.0] = 1.0
     return s
 
@@ -57,26 +57,23 @@ def sinc(x):
 def sinc_and_deriv(x):
     """(S(x), S'(x)) as real arrays, S(x) = sin(x)/x and S'(x) = (cos x - S)/x.
 
-    One sin and one cos per argument; only x = 0 and |x| < _SERIES_CUT are
-    patched afterwards.
+    S comes from sinc; S' takes one cos per argument, and |x| < _SERIES_CUT
+    is patched afterwards.
     """
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.ravel()
-    s, ds = np.sin(x), np.cos(x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0, patched below
-        s /= x
+    s, ds = sinc(x), np.cos(x, out=np.empty_like(x))
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, patched below
         ds -= s
         ds /= x
-    small = np.flatnonzero(np.abs(x) < _SERIES_CUT)
+    small = np.abs(x) < _SERIES_CUT
     xs = x[small]
-    s[small[xs == 0.0]] = 1.0
     # Horner in x^2, as polyval does it, without polyval's per-call set-up
     xx, acc = xs * xs, np.full_like(xs, _DS_COEFFS[-1])
     for c in _DS_COEFFS[-2::-1]:
         acc *= xx
         acc += c
     ds[small] = xs * acc
-    return s.reshape(shape), ds.reshape(shape)
+    return s, ds
 
 
 def f_amp_and_deriv(q, packet: Packet, barrier_width: float):

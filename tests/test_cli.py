@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tunneltimes
@@ -818,6 +819,46 @@ class TestExtremeInputs:
         assert rows["t_tunnel"]["note"] == ("non-finite integrand at refinement level 0: "
                                             "90 panels span k in [1, 8.5]")
         assert len(calls) == 1
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity (not RFC 8259)."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStandardJson:
+    def test_non_finite_values_are_null(self, tmp_path):
+        out = tmp_path / "x.json"
+        cli._write_json(str(out), {
+            "a": [1.5, math.nan, (-math.inf, 2)], "b": np.float64(math.inf),
+            "c": {"d": None, "e": True, "f": "NaN"}})
+        assert strict_json(out.read_text()) == {
+            "a": [1.5, None, [None, 2]], "b": None,
+            "c": {"d": None, "e": True, "f": "NaN"}}
+
+    def test_mirror_pole_lifetimes_are_null(self, tmp_path):
+        # left of Re k = 0 the 13 poles are mirrors -conj(k) with Gamma < 0,
+        # whose lifetime is inf
+        out = tmp_path / "r.json"
+        assert main(["resonances", "--re-min", "-3", "--re-max", "-0.5",
+                     "--out", str(out)]) == 0
+        poles = strict_json(out.read_text())["poles"]
+        assert len(poles) == 13
+        assert all(p["lifetime"] is None and p["Gamma"] < 0.0 for p in poles)
+
+    def test_non_finite_closed_form_is_null(self, tmp_path):
+        # tau_ph is NaN for k >= 1 once a^3 overflows, and so are the
+        # t_tunnel row's closed value and tolerance
+        out = tmp_path / "oc.json"
+        assert main(["oracle-compare", "--k0", "1.2", "--l0", "150",
+                     "--a", "1e300", "--out", str(out)]) == 4
+        rows = {r["quantity"]: r for r in strict_json(out.read_text())["rows"]}
+        row = rows["t_tunnel"]
+        assert row["closed"] is None and row["tolerance"] is None
+        assert row["oracle"] is None and not row["pass"]
 
 
 PACKAGE_ERRORS = [cls for cls in vars(errors).values()

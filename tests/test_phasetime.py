@@ -23,6 +23,12 @@ def test_domain_errors(barrier):
         k_tau_limit(Barrier(0.0, 15.0, 1.0))
 
 
+def test_grid_rejects_k_zero(barrier):
+    # the grid route is odd in k and so takes negative k, but not k = 0
+    with pytest.raises(DomainError, match="k = 0"):
+        phase_time_grid(np.array([-1.0, 0.0, 1.0]), barrier)
+
+
 def test_free_traversal_asymptote(barrier):
     # k >> sqrt(2mV): tau_ph -> m a / k
     assert phase_time(50.0, barrier) == pytest.approx(15.0 / 50.0, rel=0.02)

@@ -61,6 +61,15 @@ class TestGridSpec:
         with pytest.raises(DomainError, match=field):
             GridSpec(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        {"x_max": -130.0}, {"x_max": -140.0}, {"dx": 0.0}, {"dx": -0.1},
+        {"dt": 0.0}, {"dt": -0.005},
+    ], ids=lambda f: " ".join(f"{k}={v}" for k, v in f.items()))
+    def test_inconsistent_spec_rejected(self, fields):
+        with pytest.raises(DomainError, match="inconsistent grid spec"):
+            GridSpec(**{"x_min": -130.0, "x_max": 120.0, "dx": 0.1,
+                        "dt": 0.005, **fields})
+
 
 class TestInitState:
     def test_norm_one(self, small_state):

@@ -173,6 +173,13 @@ class TestPvIntegrate:
             pv_integrate(f, None, domain=(-4.0, 4.0), oscillation_length=4.0 * math.pi)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, -2.0),
+                                        (float("nan"), 1.0), (0.0, float("nan"))])
+    def test_empty_or_nan_domain_rejected(self, domain):
+        with pytest.raises(DomainError, match="empty integration domain"):
+            pv_integrate(lambda k: np.exp(-(k * k)), None, domain=domain,
+                         oscillation_length=1.0)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_oscillation_length_must_be_finite_and_positive(self, length):
         with pytest.raises(DomainError, match="oscillation_length"):

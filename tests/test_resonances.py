@@ -93,6 +93,11 @@ class TestFindPoles:
         with pytest.raises(DomainError, match="re_lo < re_hi"):
             winding_count(barrier, rect, "+")
 
+    @pytest.mark.parametrize("parity", ["", "+-", "even", None])
+    def test_winding_count_rejects_unknown_parity(self, barrier, parity):
+        with pytest.raises(DomainError, match="parity must be"):
+            winding_count(barrier, (0.5, 3.0, -1.0, 0.0), parity)
+
     def test_thick_barrier_winding(self):
         # the real axis passes within 1e-4 of narrow a = 60 resonances,
         # where a phase-only bisection rule aliased and counted 25
@@ -523,6 +528,18 @@ class TestLorentzianDelay:
         assert lorentzian_delay(ep.real, dec) == pytest.approx(
             2.0 / pole.Gamma, rel=1e-12
         )
+
+    def test_mirror_poles_are_skipped(self, barrier):
+        # left of Re k = 0 every pole is a mirror -conj(k) of a resonance,
+        # with Gamma < 0 and so no lifetime: none of them enters the sum
+        poles = find_poles(barrier, (-3.0, -0.5, -1.0, 0.0))
+        assert len(poles) == 13
+        assert all(not p.is_resonance and p.lifetime == math.inf
+                   for p in poles)
+        dec = ResonanceDecomposition(barrier=barrier, poles=tuple(poles),
+                                     energies=np.array([0.5]))
+        for e0 in [0.05, 0.5, 2.0]:
+            assert lorentzian_delay(e0, dec) == 0.0
 
     def test_far_detuned_vanishes(self, decomposition):
         assert lorentzian_delay(1e6, decomposition) < 1e-8
