@@ -18,8 +18,6 @@ from .closedform import TimeBudget, age_difference, budget_grid
 from .errors import (
     CountMismatchError,
     DomainError,
-    GridTooSmallError,
-    ImaginaryResidueError,
     InsufficientFluxError,
     NonConvergenceError,
     TunnelTimesError,

@@ -80,8 +80,9 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     With no barrier (Barrier.is_free) the parity amplitudes are exactly +-1, both
     delays vanish identically and the inside/outside times reduce to the free
     values a*v_inv and L0*v_inv; the barrier formulas (which assume total
-    reflection at k = 0) do not apply there. Just inside that edge the
-    branch-point term can overflow, which raises DomainError.
+    reflection at k = 0) do not apply there. A branch-point term that is not
+    finite (just inside that edge, or where k0^2 L0 underflows) raises
+    DomainError.
     """
     k0 = np.asarray(k0, dtype=float)
     L0 = np.asarray(L0, dtype=float)
@@ -91,7 +92,8 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     if np.any(L0 <= 0.0):
         raise DomainError(f"needs L0 > 0, got {L0.min()}")
     x = k0 * L0
-    v = (m / k0) * (1.0 - sinc(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # m/k0 = inf at a subnormal k0
+        v = (m / k0) * (1.0 - sinc(x))
     tau = phase_time_grid(k0, barrier)
     if barrier.is_free:
         t_tun = a * v
@@ -99,9 +101,10 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
         bp_tunnel = t_tun - tau
         bp_outside = t_out - (m / k0) * L0
     else:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bp_tunnel = -np.sin(x) / (k0 * k0 * L0) * k_tau_limit(barrier)
-        if np.any(np.isinf(bp_tunnel)):  # [k tau]_0 ~ 1/(m V a) just inside the free edge
+        # [k tau]_0 ~ 1/(m V a) just inside the free edge; k0^2 L0 may underflow to 0
+        if not np.all(np.isfinite(bp_tunnel)):
             raise DomainError(
                 f"branch-point term overflows at 2mV a = {barrier.l0_sq * a:.6g}")
         half = sinc(x / 2.0)

@@ -10,19 +10,12 @@ class DomainError(TunnelTimesError, ValueError):
 
 
 class NonConvergenceError(TunnelTimesError, RuntimeError):
-    """An adaptive numerical scheme exhausted its budget before reaching tolerance."""
-
-
-class ImaginaryResidueError(TunnelTimesError, ArithmeticError):
-    """A quantity that must be real came out with a non-negligible imaginary part."""
+    """A numerical scheme cannot reach its tolerance: budget, non-finite values,
+    or a missing symmetry the route needs."""
 
 
 class CountMismatchError(TunnelTimesError, RuntimeError):
     """Root harvest disagrees with the argument-principle count over a region."""
-
-
-class GridTooSmallError(TunnelTimesError, ValueError):
-    """The simulation grid cannot hold the requested initial state."""
 
 
 class InsufficientFluxError(TunnelTimesError, RuntimeError):

@@ -55,9 +55,9 @@ def phase_time_grid(k, barrier: Barrier):
     if barrier.is_free:
         return m * a / k
     l0_sq = np.float64(barrier.l0_sq)    # its square overflows to inf, not an error
-    u = l0_sq - k * k
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.float64(a)                # and so does its cube
+        u = l0_sq - k * k
         num = 8.0 * a**3 * l0_sq**2 * psi_w(4.0 * a * a * u) + 2.0 * a * (u + 3.0 * k * k)
         s = sinhc_w(a * a * u)
         den = l0_sq**2 * a * a * s * s + 4.0 * k * k

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, GridTooSmallError, InsufficientFluxError,
-                     NonConvergenceError)
+from .errors import DomainError, InsufficientFluxError, NonConvergenceError
 from .scattering import Barrier
 from .wavepacket import Packet
 
-_MAX_POINT_STEPS = 10**9  # per run: ~23 s at ~23 ns per point-step (2 cores)
+_MAX_POINT_STEPS = 10**9  # per run: ~30 s at ~30 ns per point-step (2 cores)
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,13 @@ def init_state(packet: Packet, barrier: Barrier, spec: GridSpec) -> np.ndarray:
     """Sample the incoming truncated plane wave onto the grid and normalize.
 
     Support is [-L0 - a/2, -a/2]; the whole support must fit strictly inside
-    the grid (GridTooSmallError otherwise). The discrete norm is set to 1
+    the grid (DomainError otherwise). The discrete norm is set to 1
     exactly by renormalization.
     """
     lo = -packet.L0 - barrier.width / 2.0
     hi = -barrier.width / 2.0
     if lo <= spec.x_min + spec.dx or hi >= spec.x_max - spec.dx:
-        raise GridTooSmallError(
+        raise DomainError(
             f"support [{lo}, {hi}] does not fit inside ({spec.x_min}, {spec.x_max})"
         )
     x = spec.x
@@ -164,9 +163,10 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
     """
     if not (barrier.width / 2.0 < detector_x < spec.x_max - 2 * spec.dx):
         raise DomainError("detector must sit past the barrier and inside the grid")
-    if (work := spec.n_points * n_steps) > _MAX_POINT_STEPS:
+    # counted as a float: an integer product past 1e308 cannot be formatted
+    if (work := float(spec.n_points) * n_steps) > _MAX_POINT_STEPS:
         raise NonConvergenceError(
-            f"Crank-Nicolson run: {spec.n_points} points x {n_steps} steps = "
+            f"Crank-Nicolson run: {spec.n_points:.6g} points x {n_steps:.6g} steps = "
             f"{work:.3g} point-steps, more than the {_MAX_POINT_STEPS:.0e} allowed")
     psi = init_state(packet, barrier, spec)
     idx = int(round((detector_x - spec.x_min) / spec.dx)) - 1
@@ -242,8 +242,8 @@ def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
         dx_candidates.append(a / 50.0)
     dx = min(dx_candidates)
     dt = math.sqrt(12.0 * CN_PHASE_BUDGET) / (k_fast * k_fast / (2.0 * m))
-    n_steps = int(math.ceil(t_total / dt))
-    return GridSpec(x_min, x_max, dx, dt), n_steps
+    spec = GridSpec(x_min, x_max, dx, dt)  # an underflowing dt raises here
+    return spec, int(math.ceil(t_total / dt))
 
 
 def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ImaginaryResidueError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 from .phasetime import phase_time_grid
 from .scattering import Barrier, parity_phases
 from .wavepacket import Packet, momentum_density, sinc_and_deriv
@@ -143,13 +143,13 @@ def _residue(integrand, p, d, conj_even):
 
     c(h) = h (f(p + h) - f(p - h))/2 is c + O(h^2); the Richardson step
     (4 c(d/2) - c(d))/3 cancels the h^2 term. With conj_even, f(p - h) must be
-    conj f(p + h) within 1e-8 relative at both steps, or ImaginaryResidueError.
+    conj f(p + h) within 1e-8 relative at both steps, or NonConvergenceError.
     """
     f = integrand(np.array([p + d, p - d, p + 0.5 * d, p - 0.5 * d]))
     if conj_even:
         defect = np.abs(f[1::2] - np.conj(f[::2]))
         if np.any(defect > 1e-8 * np.abs(f[::2])):
-            raise ImaginaryResidueError(
+            raise NonConvergenceError(
                 f"integrand is not conj-even about k = {p}: at h = {d:.3g} and "
                 f"{0.5 * d:.3g}, |f(p - h) - conj f(p + h)| / |f(p + h)| = "
                 f"{np.max(defect / np.abs(f[::2])):.3g} > 1e-8")
@@ -201,13 +201,12 @@ def pv_integrate(
     DomainError
         If the domain is empty, oscillation_length is not finite and > 0, or
         conj_even is set without pole 0.0 and a domain (-hi, hi).
-    ImaginaryResidueError
-        If conj_even is set and the residue's integrand values at -d, -d/2
-        are not the conjugates of those at d, d/2 within 1e-8 relative.
     NonConvergenceError
-        If the next refinement level would overrun config.max_panels, or a
-        level's integrand values are not all finite. The message names the
-        level, its unresolved or non-finite panels and the k-interval they span.
+        If the next refinement level would overrun config.max_panels, a
+        level's integrand values are not all finite, or conj_even is set and
+        the residue's values at -d, -d/2 are not the conjugates of those at
+        d, d/2 within 1e-8 relative. A level's message names it, its
+        unresolved or non-finite panels and the k-interval they span.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -225,23 +224,22 @@ def pv_integrate(
     mult = 2 if conj_even else 1
     used = 0
 
-    def afford(n, level, k_lo, k_hi):
+    def interval(a, b):
+        # the k-interval of the panels [a, b] and of their mirrors
+        k_hi = np.max(b)
+        return f"k in [{-k_hi if conj_even else np.min(a):.9g}, {k_hi:.9g}]"
+
+    def afford(n, level, a, b):
         if used + n > config.max_panels:
             raise NonConvergenceError(
-                f"panel budget max_panels={config.max_panels} exhausted at "
-                f"refinement level {level}: {n:.6g} unresolved panels span "
-                f"k in [{k_lo:.9g}, {k_hi:.9g}]"
-            )
-
-    def extent(a, b):
-        # the k-interval of the panels [a, b] and of their mirrors
-        return (-b.max() if conj_even else a.min()), b.max()
+                f"panel budget max_panels={config.max_panels} exhausted at refinement "
+                f"level {level}: {n:.6g} unresolved panels span {interval(a, b)}")
 
     # A breakpoint at the pole keeps every Gauss node strictly off it.
     edges = [lo, hi] if p is None else [p, hi] if conj_even else [lo, p, hi]
     spans = [(ea, eb, max(1.0, (eb - ea) / cap)) for ea, eb in zip(edges[:-1], edges[1:])]
     # counted as floats before it is built
-    afford(mult * sum(n for _, _, n in spans), 0, lo, hi)
+    afford(mult * sum(n for _, _, n in spans), 0, edges[0], hi)
     if p is not None:
         c = _residue(integrand, p, 1e-3 * min(p - lo, hi - p, 0.25 * cap), conj_even)
 
@@ -267,15 +265,14 @@ def pv_integrate(
     level = 0
     accepted = []
     while len(a):
-        afford(mult * len(a), level, *extent(a, b))
+        afford(mult * len(a), level, a, b)
         used += mult * len(a)
         g10, k21, fm = _score(f_eval, a, b)
         bad = ~np.isfinite(k21)  # a NaN never passes the error test below
         if bad.any():
-            k_lo, k_hi = extent(a[bad], b[bad])
             raise NonConvergenceError(
                 f"non-finite integrand at refinement level {level}: {mult * bad.sum()} "
-                f"panels span k in [{k_lo:.9g}, {k_hi:.9g}]")
+                f"panels span {interval(a[bad], b[bad])}")
         if level == 0:
             # The first level fixes the error-budget scale.
             scale = mult * float(np.sum(np.abs(k21)))
@@ -349,7 +346,7 @@ def oracle_delay_B(
     spike as NonConvergenceError, where the fold would converge. It evaluates
     only k >= 0 all the same (conj_even), at half the integrand points, and
     returns a real total. Where 2mV is so small that g is rounding noise, g
-    is not conj-even at the residue nodes and ImaginaryResidueError is raised.
+    is not conj-even at the residue nodes and NonConvergenceError is raised.
     """
     k0, m, a, L0 = packet.k0, barrier.mass, barrier.width, packet.L0
     if barrier.is_free:

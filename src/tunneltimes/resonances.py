@@ -199,8 +199,9 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     seeds = []
     for sign, n_lo, n_hi in spans:
         q = np.arange(max(1, math.ceil(n_lo) - 1), math.floor(n_hi) + 2) * math.pi / a
-        k_n = np.sqrt(two_mv + q * q)
-        with np.errstate(over="ignore"):  # k_n a = inf: depth 0
+        # k_n a = inf: depth 0; k_n = inf (q * q overflows): depth NaN
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            k_n = np.sqrt(two_mv + q * q)
             depth = q / (k_n * a) * np.log(two_mv / (k_n + q) ** 2)
         seeds.append(sign * k_n + 1j * np.maximum(depth, _SEED_DEPTH))
     return np.concatenate(seeds)

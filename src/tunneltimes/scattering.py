@@ -131,7 +131,7 @@ def _w_terms(k, barrier: Barrier, parities="+-", slope=False):
 def amplitude_grid(k, barrier: Barrier):
     """Vectorized F+, F-, R, T at real k, scalar or array; DomainError for complex k.
 
-    This is the one entry to the amplitudes. Phases are best read from the
+    parity_phases is the other real-axis entry. Phases are best read from the
     unimodular F+- = e^{i theta+-}: the transmission phase follows as
     theta = pi/2 + (theta+ + theta-)/2 + k a (mod pi), whereas arg T itself
     is rounding noise once |T| ~ e^{-kappa a}, and undefined where T = 0.

@@ -766,6 +766,34 @@ class TestExtremeInputs:
         assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    # each also used to exit 1: an OverflowError from k0 ** 2 or from
+    # formatting an integer count past the float range, a ZeroDivisionError
+    # where dt underflows to 0, or a RuntimeWarning (overflow, 0/0) from
+    # float-range inputs, which pytest makes an error
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["oracle-compare", "--k0", "1e300", "--l0", "150"], 4, ""),
+        (["propagate", "--k0", "0.5", "--l0", "1e-300"], 3,
+         "domain error: inconsistent grid spec"),
+        (["propagate", "--k0", "0.5", "--l0", "150", "--detector-x", "1e300"], 3,
+         "NonConvergenceError: Crank-Nicolson run: 1.94965e+301 points x "),
+        (["sweep", "--k0-min", "1e-320", "--k0-max", "1e-320"], 3,
+         "domain error: branch-point term overflows"),
+        (["sweep", "--k0-min", "1e300", "--k0-max", "1e300"], 0, ""),
+        (["resonances", "--a", "1e-300"], 0, ""),
+        (["oracle-compare", "--k0", "1e-300", "--l0", "150"], 3,
+         "domain error: branch-point term overflows"),
+        (["propagate", "--k0", "1e-300", "--l0", "150"], 3,
+         "domain error: branch-point term overflows"),
+        (["oracle-compare", "--k0", "0.5", "--l0", "1e-300"], 4, ""),
+        # k0^2 L0 underflows to 0: the branch-point term is 0/0, not a NaN cell
+        (["sweep", "--k0-min", "1e-300", "--k0-max", "1e-300", "--l0", "1e-300"], 3,
+         "domain error: branch-point term overflows"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, prefix):
+        assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) if prefix else err == ""
+
     @pytest.mark.parametrize("a", ["1e-23", "1e-8"])
     def test_branch_point_overflow_is_a_domain_error(self, tmp_path, capsys, a):
         # 2mV a = 2e-323 and 2e-308: not free, but the branch-point term
@@ -872,7 +900,7 @@ def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch,
                                            cls):
     # every package error is a TunnelTimesError and keeps a builtin base;
     # main picks the exit code by class
-    assert len(PACKAGE_ERRORS) == 7
+    assert len(PACKAGE_ERRORS) == 5
     assert issubclass(cls, tunneltimes.TunnelTimesError)
     assert cls is tunneltimes.TunnelTimesError or len(cls.__bases__) == 2
 

@@ -9,7 +9,6 @@ import pytest
 import tunneltimes.propagator as propagator
 from tunneltimes.errors import (
     DomainError,
-    GridTooSmallError,
     InsufficientFluxError,
     NonConvergenceError,
 )
@@ -88,7 +87,7 @@ class TestInitState:
         assert abs(mean_k - 1.0) <= 2.0 * math.pi / 30.0
 
     def test_too_small_grid(self, barrier):
-        with pytest.raises(GridTooSmallError):
+        with pytest.raises(DomainError, match="does not fit"):
             init_state(Packet(1.0, 300.0), barrier, SMALL)
 
 
