@@ -92,8 +92,10 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
     if np.any(L0 <= 0.0):
         raise DomainError(f"needs L0 > 0, got {L0.min()}")
     x = k0 * L0
-    with np.errstate(over="ignore", invalid="ignore"):  # m/k0 = inf at a subnormal k0
+    # m/k0 = inf at a subnormal k0, and m V a L0 = inf at L0 near the float max
+    with np.errstate(over="ignore", invalid="ignore"):
         v = (m / k0) * (1.0 - sinc(x))
+        ratio = barrier.mass * barrier.height * barrier.width * L0
     tau = phase_time_grid(k0, barrier)
     if barrier.is_free:
         t_tun = a * v
@@ -113,7 +115,6 @@ def _budget(k0, L0, barrier: Barrier) -> TimeBudget:
         t_out = (m / k0) * L0 + bp_outside
     a_v = a * v
     l_v = L0 * v
-    ratio = barrier.mass * barrier.height * barrier.width * L0
     k0, L0, tau, ratio = np.broadcast_arrays(k0, L0, tau, ratio)
     _warn_if_invalid(ratio)
     return TimeBudget(

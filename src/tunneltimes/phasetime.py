@@ -46,7 +46,8 @@ def phase_time_grid(k, barrier: Barrier):
 
     Odd in k: tau_ph(-k) = -tau_ph(k). With no barrier (Barrier.is_free) the
     transmission phase is exactly k*a and tau_ph = m a / k. Where the closed
-    form overflows (kappa a >~ 345) it returns the Hartman limit 2m/(k kappa).
+    form overflows (kappa a >~ 345) it returns the Hartman limit 2m/(k kappa),
+    and far above the top (2mV < eps k^2, where 4 a^2 u overflows) m a / k.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k == 0.0):
@@ -62,12 +63,16 @@ def phase_time_grid(k, barrier: Barrier):
         s = sinhc_w(a * a * u)
         den = l0_sq**2 * a * a * s * s + 4.0 * k * k
         tau = (m / k) * num / den
-        thick = ~(np.isfinite(tau) & np.isfinite(den)) & (u > 0.0)
-        if thick.any():
-            # e^{2 kappa a} overflows there, and tau_ph has long reached
-            # the Hartman limit 2m/(k kappa); at and above the top an
+        bad = ~(np.isfinite(tau) & np.isfinite(den))
+        if bad.any():
+            # below the top e^{2 kappa a} overflows there, and tau_ph has long
+            # reached the Hartman limit 2m/(k kappa); far above it the barrier
+            # is negligible and tau_ph is the free m a/k; in between an
             # overflowing form (a^3 past the float range) stays NaN
-            tau = np.where(thick, 2.0 * m / (k * np.sqrt(np.where(thick, u, 1.0))), tau)
+            thick = bad & (u > 0.0)
+            far = bad & (l0_sq < np.finfo(float).eps * k * k)
+            tau = np.where(thick, 2.0 * m / (k * np.sqrt(np.where(thick, u, 1.0))),
+                           np.where(far, m * a / k, tau))
     return tau
 
 

@@ -226,7 +226,8 @@ def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
     with 20 points per wavelength (and the barrier with 50 points); dt spends
     the CN phase-error budget there, (omega dt)^2/12 = CN_PHASE_BUDGET;
     walls are pushed far enough out that a reflection traveling at the fast
-    component speed cannot return to the detector inside the window.
+    component speed cannot return to the detector inside the window. A window
+    of more steps than a float holds raises NonConvergenceError.
     """
     k0, L0 = packet.k0, packet.L0
     a, m = barrier.width, barrier.mass
@@ -243,7 +244,11 @@ def suggest_grid(packet: Packet, barrier: Barrier, detector_x: float
     dx = min(dx_candidates)
     dt = math.sqrt(12.0 * CN_PHASE_BUDGET) / (k_fast * k_fast / (2.0 * m))
     spec = GridSpec(x_min, x_max, dx, dt)  # an underflowing dt raises here
-    return spec, int(math.ceil(t_total / dt))
+    if not math.isfinite(n_steps := t_total / dt):  # L0 near the float max
+        raise NonConvergenceError(
+            f"Crank-Nicolson run: {t_total:.6g} / {dt:.6g} = {n_steps:.3g} steps, "
+            f"more than the {_MAX_POINT_STEPS:.0e} point-steps allowed")
+    return spec, math.ceil(n_steps)
 
 
 def empirical_delay(packet: Packet, barrier: Barrier, detector_x: float,

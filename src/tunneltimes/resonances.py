@@ -189,7 +189,8 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
         if hi > 0.0:  # k * k overflows to inf where k ** 2 would raise
             spans.append((sign, *(a * math.sqrt(max(k * k - two_mv, 0.0)) / math.pi
                                   for k in (max(lo, 0.0), hi))))
-    n_indices = sum(n_hi - n_lo for _, n_lo, n_hi in spans)
+    # both ends inf (k * k overflows): the count is inf, not inf - inf
+    n_indices = sum(n_hi - n_lo if n_lo < math.inf else n_hi for _, n_lo, n_hi in spans)
     if not n_indices <= _MAX_INDICES:
         raise NonConvergenceError(
             f"pole search: {n_indices:.3g} pole indices in the rectangle, "
@@ -309,12 +310,24 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
 
 
 def reconstruct_amplitude(k, decomposition: ResonanceDecomposition, parity: str):
-    """Pole-product factor prod_j (E - E_j*)/(E - E_j) at real wavenumber k."""
+    """Pole-product factor prod_j (E - E_j*)/(E - E_j) at real wavenumber k.
+
+    F is read on k > 0, so a mirror pole -conj(k_j) (Re k <= 0) enters as
+    its reflection k_j, energy conj(E_j), unless that energy is listed
+    already (within _DEDUP_TOL): a rectangle holding both k_j and its mirror
+    would otherwise divide by the factor and its inverse.
+    """
     k = np.asarray(k, dtype=float)
     E = k * k / (2.0 * decomposition.barrier.mass) + 0j
+    poles = decomposition.poles_of(parity)
+    energies = [p.E_pole for p in poles if p.k_pole.real > 0.0]
+    for p in poles:
+        e = p.E_pole.conjugate()
+        if p.k_pole.real <= 0.0 and all(abs(e - f) > _DEDUP_TOL for f in energies):
+            energies.append(e)
     prod = np.ones_like(E)
-    for p in decomposition.poles_of(parity):
-        prod = prod * (E - np.conj(p.E_pole)) / (E - p.E_pole)
+    for e in energies:
+        prod = prod * (E - np.conj(e)) / (E - e)
     return prod
 
 
@@ -330,7 +343,7 @@ def build_decomposition(
 ) -> ResonanceDecomposition:
     """Harvest poles and fix the real energies of the remainder check."""
     poles = tuple(find_poles(barrier, search_rect))
-    e_hi = 0.5 * search_rect[1] ** 2 / barrier.mass * 0.9
+    e_hi = 0.5 * max(map(abs, search_rect[:2])) ** 2 / barrier.mass * 0.9
     energies = np.linspace(0.02, e_hi, _N_ENERGIES)
     return ResonanceDecomposition(barrier, poles, energies)
 

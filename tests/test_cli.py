@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -16,6 +17,19 @@ import tunneltimes
 from tunneltimes import (cli, closedform, errors, phasetime, propagator,
                          quadrature, resonances)
 from tunneltimes.cli import main
+
+
+# The CLI's exit-code contract, one row per command: exit code, argv
+# without --out, the start of stderr (empty: no stderr) and a reason. CI runs
+# the same rows through the installed console script.
+with open(Path(__file__).with_name("cli_exit_codes.tsv"), newline="") as _f:
+    EXIT_CODE_ROWS = list(csv.DictReader(_f, delimiter="\t", quoting=csv.QUOTE_NONE))
+EXIT_CODES = {row["argv"]: int(row["code"]) for row in EXIT_CODE_ROWS}
+
+
+def run_row(argv, out):
+    """main on a row of cli_exit_codes.tsv, its exit code checked there."""
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_CODES[argv]
 
 
 def _count_calls(monkeypatch, fn):
@@ -742,56 +756,13 @@ class TestPropagate:
 
 
 class TestExtremeInputs:
-    # each used to end in a traceback (exit 1): a ZeroDivisionError where
-    # 2mV underflows, an OverflowError from a**3 or a squared energy, or a
-    # ValueError from a first quadrature or winding level too large to build
-    @pytest.mark.parametrize("argv, code", [
-        (["sweep", "--mass", "1e-300", "--height", "1e-300"], 0),
-        (["figure", "fig3", "--mass", "1e-300", "--height", "1e-300"], 0),
-        (["oracle-compare", "--mass", "1e-300", "--height", "1e-300",
-          "--k0", "0.5", "--l0", "150"], 0),
-        (["propagate", "--mass", "1e-300", "--height", "1e-300", "--k0", "1.0",
-          "--l0", "20", "--detector-x", "25"], 0),
-        (["sweep", "--a", "1e300"], 0),
-        (["figure", "fig3", "--a", "1e300"], 0),
-        (["figure", "fig4", "--a", "1e300"], 0),
-        (["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300"], 4),
-        (["oracle-compare", "--k0", "0.5", "--l0", "1e300"], 4),
-        (["oracle-compare", "--k0", "0.5", "--l0", "1e12"], 4),
-        (["resonances", "--two-m-v", "1e300", "--a", "1e300"], 3),
-        (["resonances", "--mass", "1e-300", "--height", "1e300"], 0),
-        (["sweep", "--height", "1e-300", "--a", "1e-300"], 0),  # 2mV a underflows: free
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-    def test_exit_code(self, tmp_path, capsys, argv, code):
-        assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
-        assert "Traceback" not in capsys.readouterr().err
-
-    # each also used to exit 1: an OverflowError from k0 ** 2 or from
-    # formatting an integer count past the float range, a ZeroDivisionError
-    # where dt underflows to 0, or a RuntimeWarning (overflow, 0/0) from
-    # float-range inputs, which pytest makes an error
-    @pytest.mark.parametrize("argv, code, prefix", [
-        (["oracle-compare", "--k0", "1e300", "--l0", "150"], 4, ""),
-        (["propagate", "--k0", "0.5", "--l0", "1e-300"], 3,
-         "domain error: inconsistent grid spec"),
-        (["propagate", "--k0", "0.5", "--l0", "150", "--detector-x", "1e300"], 3,
-         "NonConvergenceError: Crank-Nicolson run: 1.94965e+301 points x "),
-        (["sweep", "--k0-min", "1e-320", "--k0-max", "1e-320"], 3,
-         "domain error: branch-point term overflows"),
-        (["sweep", "--k0-min", "1e300", "--k0-max", "1e300"], 0, ""),
-        (["resonances", "--a", "1e-300"], 0, ""),
-        (["oracle-compare", "--k0", "1e-300", "--l0", "150"], 3,
-         "domain error: branch-point term overflows"),
-        (["propagate", "--k0", "1e-300", "--l0", "150"], 3,
-         "domain error: branch-point term overflows"),
-        (["oracle-compare", "--k0", "0.5", "--l0", "1e-300"], 4, ""),
-        # k0^2 L0 underflows to 0: the branch-point term is 0/0, not a NaN cell
-        (["sweep", "--k0-min", "1e-300", "--k0-max", "1e-300", "--l0", "1e-300"], 3,
-         "domain error: branch-point term overflows"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, prefix):
-        assert main([*argv, "--out", str(tmp_path / "x.out")]) == code
-        err = capsys.readouterr().err
+    # every row of cli_exit_codes.tsv; most used to end in a traceback (exit
+    # 1) or a RuntimeWarning, which pytest makes an error
+    @pytest.mark.parametrize("row", EXIT_CODE_ROWS,
+                             ids=lambda row: f"{row['argv']}-{row['code']}")
+    def test_exit_code(self, tmp_path, capsys, row):
+        run_row(row["argv"], tmp_path / "x.out")
+        err, prefix = capsys.readouterr().err, row["stderr_prefix"]
         assert err.startswith(prefix) if prefix else err == ""
 
     @pytest.mark.parametrize("a", ["1e-23", "1e-8"])
@@ -810,8 +781,7 @@ class TestExtremeInputs:
 
     def test_underflowing_two_mv_is_the_free_reduction(self, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--mass", "1e-300", "--height", "1e-300",
-                     "--out", str(out)]) == 0
+        run_row("sweep --mass 1e-300 --height 1e-300", out)
         header, rows = read_csv(out)
         col = {name: i for i, name in enumerate(header)}
         for row in rows:
@@ -823,8 +793,7 @@ class TestExtremeInputs:
         # the dtau_B row's first level is 1.4e300 panels; it is refused
         # before it is built, and the row names it
         out = tmp_path / "oc.json"
-        assert main(["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300",
-                     "--out", str(out)]) == 4
+        run_row("oracle-compare --k0 0.5 --l0 150 --a 1e300", out)
         rows = {row["quantity"]: row for row in json.loads(out.read_text())["rows"]}
         assert "refinement level 0: 1.35282e+300 unresolved panels" \
             in rows["dtau_B"]["note"]
@@ -841,8 +810,7 @@ class TestExtremeInputs:
 
         monkeypatch.setattr(quadrature, "phase_time_grid", counting)
         out = tmp_path / "oc.json"
-        assert main(["oracle-compare", "--k0", "0.5", "--l0", "150", "--a", "1e300",
-                     "--out", str(out)]) == 4
+        run_row("oracle-compare --k0 0.5 --l0 150 --a 1e300", out)
         rows = {row["quantity"]: row for row in json.loads(out.read_text())["rows"]}
         assert rows["t_tunnel"]["note"] == ("non-finite integrand at refinement level 0: "
                                             "90 panels span k in [1, 8.5]")

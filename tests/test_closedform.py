@@ -248,6 +248,13 @@ class TestBudgetGrid:
         assert not tb.valid.any()
         assert [w.category for w in rec] == [ValidityWarning]
 
+    def test_validity_ratio_past_the_float_range(self, barrier):
+        # m V a L0 overflows at L0 = 5e307: an infinite ratio, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tb = budget_grid(1.0, 5e307, barrier)
+        assert tb.validity_ratio == math.inf and tb.valid
+
     def test_free_barrier_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

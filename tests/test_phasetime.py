@@ -107,6 +107,16 @@ def test_width_cubed_past_the_float_range_reaches_hartman_limit():
     np.testing.assert_allclose(tau, 2.0 / (ks * np.sqrt(1.0 - ks * ks)), rtol=1e-12)
 
 
+def test_far_above_the_top_is_the_free_traversal(barrier):
+    # 4 a^2 u overflows for k >= 5e152 at a = 15; there 2mV < eps k^2 and
+    # tau_ph is m a/k, which the finite form below meets within 4.4e-16
+    ks = np.geomspace(1e100, 1e300, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tau = phase_time_grid(ks, barrier)
+    np.testing.assert_allclose(tau, 15.0 / ks, rtol=1e-15, atol=0.0)
+
+
 def test_k_tau_limit_at_the_underflow_edge():
     # 2mV underflows to 0: the free barrier, refused rather than divided by 0
     with pytest.raises(DomainError):

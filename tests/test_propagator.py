@@ -223,6 +223,13 @@ class TestSuggestGrid:
         if a == 2.0:
             assert spec.dx == a / 50.0
 
+    def test_window_past_the_float_range_is_refused(self, barrier):
+        # at L0 = 5e307 the window over dt is inf steps: refused as a run too
+        # long, not an OverflowError from ceil(inf)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^Crank-Nicolson run: .* = inf steps"):
+            suggest_grid(Packet(1.0, 5e307), barrier, 30.0)
+
     def test_halving_dt_moves_the_delay_under_one_percent(self, barrier):
         # the budget leaves the delay's time-step error well below its dx
         # error; measured at 0.30%

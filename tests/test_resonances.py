@@ -184,6 +184,12 @@ class TestFindPoles:
         with pytest.raises(NonConvergenceError, match="pole indices"):
             find_poles(Barrier.from_two_mv(1.0, a), (0.5, 3.0, -1.0, 0.0))
 
+    def test_pole_index_count_past_the_float_range_is_inf(self, barrier):
+        # k * k overflows at both ends of Re k in [1e299, 1e300]: the index
+        # count is inf, not inf - inf = nan
+        with pytest.raises(NonConvergenceError, match="^pole search: inf pole indices"):
+            find_poles(barrier, (1e299, 1e300, -1.0, 0.0))
+
     @pytest.mark.parametrize("two_mv, a, rect", [
         (4.0, 350.0, (0.5, 3.0, -1.0, 0.0)),
         (1.0, 1000.0, (0.5, 1.2, -1.0, 0.0)),
@@ -473,6 +479,36 @@ class TestReconstruction:
             energies=decomposition.energies,
         )
         assert not verify_remainder(bad)["ok"]
+
+    def test_mirror_rectangle_checks_its_poles(self, barrier):
+        # left of Re k = 0 sit the 13 mirrors -conj(k_j), |Re k| 1.02-2.89:
+        # the energies reach |re_min|, and each mirror enters as its
+        # reflection k_j, so the check sees the sharpest one go missing
+        dec = build_decomposition(barrier, (-3.0, -0.5, -1.0, 0.0))
+        assert len(dec.poles) == 13
+        assert dec.energies[-1] == 0.5 * 3.0 ** 2 * 0.9
+        assert verify_remainder(dec)["ok"]
+        sharpest = min(dec.poles, key=lambda p: abs(p.Gamma))
+        assert sharpest.k_pole.real < 0.0
+        bad = ResonanceDecomposition(
+            barrier=barrier,
+            poles=tuple(p for p in dec.poles if p is not sharpest),
+            energies=dec.energies,
+        )
+        assert not verify_remainder(bad)["ok"]
+
+    def test_pole_and_mirror_divide_their_energy_once(self, barrier,
+                                                      decomposition):
+        # (-3, 3) holds the 13 poles k_j and their 13 mirrors, energies
+        # conj(E_j): the factor is that of the k_j alone, not 1
+        dec = build_decomposition(barrier, (-3.0, 3.0, -1.0, -1e-3))
+        assert len(dec.poles) == 26
+        assert verify_remainder(dec)["ok"]
+        ks = np.linspace(0.3, 2.8, 100)
+        for parity in ("+", "-"):
+            np.testing.assert_allclose(
+                reconstruct_amplitude(ks, dec, parity),
+                reconstruct_amplitude(ks, decomposition, parity), rtol=1e-12)
 
     @pytest.mark.parametrize("a, n_phase", [(15.0, 600), (200.0, 1059),
                                             (2e4, 1 << 16)])
