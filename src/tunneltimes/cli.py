@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -71,6 +72,10 @@ FLAGS = {
 
 DEFAULTS = {key: default for key, (_, default, _) in FLAGS.items()
             if key not in _RECT_KEYS}
+
+_NUMBER_FLAGS = {flag for flag, _, kwargs in FLAGS.values()
+                 if kwargs.get("type", float) is float}
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 class ConfigError(TunnelTimesError):
@@ -386,8 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_numbers(argv) -> list[str]:
+    """argv with each number flag followed by a negative number written
+    FLAG=VALUE: argparse's negative-number pattern has no exponent, so it
+    takes a word like -1e-3 for an option and leaves the flag without its
+    value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _NEGATIVE.fullmatch(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         with warnings.catch_warnings():
             # closed forms past the validity gate are still written

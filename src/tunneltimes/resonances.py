@@ -343,8 +343,9 @@ def build_decomposition(
 ) -> ResonanceDecomposition:
     """Harvest poles and fix the real energies of the remainder check."""
     poles = tuple(find_poles(barrier, search_rect))
+    # k from 0.2 to 0.9487 max|Re k| at every mass
     e_hi = 0.5 * max(map(abs, search_rect[:2])) ** 2 / barrier.mass * 0.9
-    energies = np.linspace(0.02, e_hi, _N_ENERGIES)
+    energies = np.linspace(0.02 / barrier.mass, e_hi, _N_ENERGIES)
     return ResonanceDecomposition(barrier, poles, energies)
 
 
@@ -386,12 +387,15 @@ def lorentzian_delay(E0: float, decomposition: ResonanceDecomposition) -> float:
 
         2 sum_j (1/Gamma_j) (Gamma_j/2)^2 / ((E0 - E_Rj)^2 + (Gamma_j/2)^2)
     """
+    # energies times the mass, so their squares neither underflow nor
+    # overflow at any mass (and are unchanged at m = 1)
+    m = decomposition.barrier.mass
     total = 0.0
     for p in decomposition.poles:
         if not p.is_resonance:
             continue
-        hw = 0.5 * p.Gamma
-        d = E0 - p.E_R
+        hw = 0.5 * p.Gamma * m
+        d = (E0 - p.E_R) * m
         total += (1.0 / p.Gamma) * hw * hw / (d * d + hw * hw)
     return 2.0 * total
 

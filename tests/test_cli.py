@@ -415,6 +415,18 @@ class TestPerCommandFlags:
             order = ["re_min", "re_max", "im_min", "im_max"]
             assert rect[order.index(key)] == want
 
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command[0]} {flag}")
+        for command, flags in READ_FLAGS.items() for flag in flags
+        if flag != "--out"])
+    def test_negative_exponent_form_is_a_value(self, command, flag):
+        # argparse's own negative-number pattern does not match -1e-3
+        key, _, want = FLAG_VALUES[flag]
+        args = cli.build_parser().parse_args(
+            cli._attach_numbers([*command, flag, "-1e-3"]))
+        assert getattr(args, key) == ([-1e-3] if isinstance(want, list)
+                                      else -1e-3)
+
     def test_each_command_accepts_exactly_its_flags(self, command_flags):
         assert command_flags == {command[0]: set(flags)
                                  for command, flags in READ_FLAGS.items()}

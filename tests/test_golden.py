@@ -9,40 +9,27 @@ pole search, formatting, or grid conventions shows up here first.
 
 from pathlib import Path
 
+import pytest
+
 from tunneltimes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-
-def test_fig3_regenerates_identically(tmp_path):
-    out = tmp_path / "fig3.csv"
-    assert main(["figure", "fig3", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "fig3.csv").read_bytes()
-
-
-def test_fig4_regenerates_identically(tmp_path):
-    out = tmp_path / "fig4.csv"
-    assert main(["figure", "fig4", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "fig4.csv").read_bytes()
-
-
-def test_sweep_regenerates_identically(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
-
-
-def test_free_barrier_sweep_regenerates_identically(tmp_path):
+# golden file -> the command that writes it, without --out
+COMMANDS = {
+    "fig3.csv": "figure fig3",
+    "fig4.csv": "figure fig4",
+    "sweep.csv": "sweep",
     # V*a = 0 takes the exact free reduction instead of the barrier formulas
-    out = tmp_path / "sweep_free.csv"
-    assert main(["sweep", "--two-m-v", "0", "--k0-min", "0.05", "--k0-max",
-                 "1.5", "--k0-step", "0.05", "--l0", "40", "--l0", "150",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "sweep_free.csv").read_bytes()
+    "sweep_free.csv": "sweep --two-m-v 0 --k0-min 0.05 --k0-max 1.5 "
+                      "--k0-step 0.05 --l0 40 --l0 150",
+    # the pole search's index seeds, winding walk and remainder sampling
+    "resonances.json": "resonances",
+}
 
 
-def test_resonances_report_regenerates_identically(tmp_path):
-    # pins the pole search's index seeds, winding walk and remainder sampling
-    out = tmp_path / "resonances.json"
-    assert main(["resonances", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "resonances.json").read_bytes()
+@pytest.mark.parametrize("golden", COMMANDS)
+def test_regenerates_identically(tmp_path, golden):
+    out = tmp_path / golden
+    assert main([*COMMANDS[golden].split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

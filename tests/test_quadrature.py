@@ -432,8 +432,9 @@ class TestThickBarrier:
 class TestLargeL0:
     """Panels of two periods of the declared frequency reach large L0."""
 
-    def test_delay_B_converges_at_15000(self, barrier):
-        p = Packet(1.1, 15000.0)
+    @pytest.mark.parametrize("l0", [3000.0, 15000.0])
+    def test_delay_B_converges(self, barrier, l0):
+        p = Packet(1.1, l0)
         assert oracle_delay_B(p, barrier) == pytest.approx(
             age_difference(p, barrier).dtau_B, abs=1e-9)
 

@@ -548,6 +548,17 @@ class TestReconstruction:
         assert remainder_delay(0.5 * 1.1 ** 2, dec) == -12.150769743040204
         assert calls == [4]
 
+    @pytest.mark.parametrize("mass", [1.0, 250.0, 1e4])
+    def test_remainder_window_in_k(self, mass):
+        # E = k^2/(2m) for k from 0.2 to 0.9 ** 0.5 * max|Re k| at every
+        # mass, inside the rectangle; a fixed floor E = 0.02 passes the top
+        # above m = 202
+        dec = build_decomposition(Barrier.from_two_mv(1.0, 15.0, mass))
+        k = np.sqrt(2.0 * mass * dec.energies)
+        assert k[0] == pytest.approx(0.2)
+        assert k[-1] == pytest.approx(math.sqrt(0.9) * 3.0)
+        assert verify_remainder(dec)["ok"]
+
 
 class TestLorentzianDelay:
     def test_isolated_line_center(self, barrier):
