@@ -10,7 +10,8 @@ sorted and indented, with null for each value a command could not compute.
 Exit codes: 0 ok, 2 configuration error (an output that cannot be opened
 included), 3 any other TunnelTimesError, 4 verification failure. An exit-3
 message starts "domain error:" for a DomainError and with the class name
-for any other error.
+for any other error. A command either answers (no stderr, its output
+written) or fails (a labelled message on stderr, no file written).
 """
 
 from __future__ import annotations
@@ -242,13 +243,14 @@ def cmd_oracle_compare(cfg: dict, args: argparse.Namespace) -> int:
         for l0 in l0s:
             packet = Packet(k0, l0)
             tb = age_difference(packet, barrier)
+            k0_sq = k0 * k0  # 0 below k0 ~ 2e-162: m/k0^2 is past the float range
             checks = [
                 ("v_inv", tb.v_inv, oracle_inverse_velocity,
                  1e-3 * abs(tb.v_inv)),
                 ("t_tunnel", tb.t_tunnel, oracle_tunneling_time,
                  0.05 * abs(tb.tau_ph)),
                 ("dtau_B", tb.dtau_B, oracle_delay_B,
-                 0.05 * barrier.mass / (k0 * k0)),
+                 0.05 * barrier.mass / k0_sq if k0_sq else math.inf),
             ]
             for name, closed, oracle_fn, tol in checks:
                 note = ""

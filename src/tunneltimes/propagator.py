@@ -52,14 +52,15 @@ class GridSpec:
             raise DomainError("inconsistent grid spec")
 
     @property
-    def n_points(self) -> int:
-        """Number of interior grid points, counted without building them."""
-        return int(round((self.x_max - self.x_min) / self.dx)) - 1
+    def n_points(self) -> float:
+        """Number of interior grid points, counted without building them: a
+        float, which is inf when the count is past the float range."""
+        return round((self.x_max - self.x_min) / self.dx, 0) - 1.0
 
     @property
     def x(self) -> np.ndarray:
         """Interior grid points; psi = 0 on the walls themselves."""
-        return self.x_min + self.dx * np.arange(1, self.n_points + 1)
+        return self.x_min + self.dx * np.arange(1, int(self.n_points) + 1)
 
     def norm(self, psi: np.ndarray) -> float:
         """Discrete norm sum |psi|^2 dx of a state: its amplitudes at x."""
@@ -163,8 +164,7 @@ def measure_arrival(packet: Packet, barrier: Barrier, spec: GridSpec,
     """
     if not (barrier.width / 2.0 < detector_x < spec.x_max - 2 * spec.dx):
         raise DomainError("detector must sit past the barrier and inside the grid")
-    # counted as a float: an integer product past 1e308 cannot be formatted
-    if (work := float(spec.n_points) * n_steps) > _MAX_POINT_STEPS:
+    if (work := spec.n_points * n_steps) > _MAX_POINT_STEPS:
         raise NonConvergenceError(
             f"Crank-Nicolson run: {spec.n_points:.6g} points x {n_steps:.6g} steps = "
             f"{work:.3g} point-steps, more than the {_MAX_POINT_STEPS:.0e} allowed")

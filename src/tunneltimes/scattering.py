@@ -37,6 +37,11 @@ from .errors import DomainError
 from .special import even_kernels
 
 
+def _check_mass(mass: float) -> None:
+    if not mass > 0.0:
+        raise DomainError(f"mass must be > 0, got {mass}")
+
+
 @dataclass(frozen=True)
 class Barrier:
     """Square barrier of height V and width a for a particle of mass m.
@@ -64,8 +69,7 @@ class Barrier:
             raise DomainError(f"barrier height must be >= 0, got {self.height}")
         if self.width < 0.0:
             raise DomainError(f"barrier width must be >= 0, got {self.width}")
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be > 0, got {self.mass}")
+        _check_mass(self.mass)
         if not math.isfinite(self.l0_sq):
             raise DomainError(f"2mV overflows for V = {self.height}, m = {self.mass}")
 
@@ -87,6 +91,7 @@ class Barrier:
     @classmethod
     def from_two_mv(cls, two_mv: float, width: float, mass: float = 1.0) -> "Barrier":
         """Build a barrier specified by 2 m V (the common figure convention)."""
+        _check_mass(mass)  # before V = 2mV / 2m divides by it
         return cls(height=two_mv / (2.0 * mass), width=width, mass=mass)
 
 

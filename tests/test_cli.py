@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,9 @@ from tunneltimes.cli import main
 
 
 # The CLI's exit-code contract, one row per command: exit code, argv
-# without --out, the start of stderr (empty: no stderr) and a reason. CI runs
-# the same rows through the installed console script.
+# without --out, the start of stderr and a reason. An empty prefix means the
+# command answers: no stderr, --out written; any other means it fails and
+# writes nothing. CI runs the same rows through the installed console script.
 with open(Path(__file__).with_name("cli_exit_codes.tsv"), newline="") as _f:
     EXIT_CODE_ROWS = list(csv.DictReader(_f, delimiter="\t", quoting=csv.QUOTE_NONE))
 EXIT_CODES = {row["argv"]: int(row["code"]) for row in EXIT_CODE_ROWS}
@@ -77,23 +77,6 @@ class TestSweep:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_empty_range_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        code = main(["sweep", "--k0-min", "2.0", "--k0-max", "1.0",
-                     "--out", str(out)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", [["--k0-min", "0", "--k0-max", "0.1"],
-                                     ["--l0", "0"]])
-    def test_domain_error_writes_no_file(self, tmp_path, capsys, bad):
-        # every value is computed before the output is opened
-        out = tmp_path / "bad.csv"
-        code = main(["sweep", *bad, "--out", str(out)])
-        assert code == 3
-        assert "domain error" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -209,37 +192,6 @@ class TestConfigValidation:
         assert "k0_list" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [["--re-min", "2", "--re-max", "1"],
-                                     ["--im-min", "0", "--im-max", "-1"]])
-    def test_reversed_search_rect_exits_2(self, tmp_path, capsys, bad):
-        out = tmp_path / "x.json"
-        code = main(["resonances", *bad, "--out", str(out)])
-        assert code == 2
-        assert "search rectangle" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("bad", [
-        ["--k0-step", "nan"], ["--k0-min", "nan"], ["--k0-max", "nan"],
-        ["--k0-max", "inf"], ["--l0", "nan"], ["--l0", "150", "--l0", "inf"],
-    ])
-    def test_non_finite_flag_exits_2(self, tmp_path, capsys, bad):
-        out = tmp_path / "x.csv"
-        code = main(["sweep", *bad, "--out", str(out)])
-        assert code == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("bad", [
-        ["--a", "nan"], ["--two-m-v", "nan"], ["--mass", "nan"],
-        ["--height", "inf"],
-    ])
-    def test_non_finite_barrier_flag_exits_2(self, tmp_path, capsys, bad):
-        out = tmp_path / "x.csv"
-        code = main(["sweep", *bad, "--out", str(out)])
-        assert code == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("key, value", [("k0_step", float("nan")),
                                             ("L0", [150.0, float("inf")])])
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, key,
@@ -251,19 +203,6 @@ class TestConfigValidation:
                      "--out", str(out)])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["oracle-compare", "--k0", "nan"],
-        ["propagate", "--k0", "nan"],
-        ["propagate", "--detector-x", "nan"],
-        ["resonances", "--re-max", "nan"],
-    ])
-    def test_non_finite_command_flag_exits_2(self, tmp_path, capsys, argv):
-        out = tmp_path / "x.out"
-        code = main([*argv, "--out", str(out)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("file_cfg", [
@@ -290,19 +229,6 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--l0", "150", "--l0", "150"],
-        ["figure", "fig3", "--l0", "300", "--l0", "150", "--l0", "300"],
-        ["oracle-compare", "--k0", "0.7", "--k0", "0.7"],
-    ])
-    def test_repeated_list_value_exits_2(self, tmp_path, capsys, argv):
-        # a repeat would duplicate rows or columns of the output
-        out = tmp_path / "x.out"
-        code = main([*argv, "--out", str(out)])
-        assert code == 2
-        assert "repeats a value" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_repeated_config_list_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k0_list": [0.7, 1.1, 0.7]}))
@@ -311,17 +237,6 @@ class TestConfigValidation:
                      str(out)])
         assert code == 2
         assert "k0_list repeats a value" in capsys.readouterr().err
-        assert not out.exists()
-
-    # ~1.5e13 rows, and an infinite quotient: both refused from the count
-    # alone, before any array is allocated
-    @pytest.mark.parametrize("step", ["1e-13", "5e-324"])
-    @pytest.mark.parametrize("command", [["sweep"], ["figure", "fig4"]])
-    def test_oversized_k0_grid_exits_2(self, tmp_path, capsys, command, step):
-        out = tmp_path / "x.csv"
-        code = main([*command, "--k0-step", step, "--out", str(out)])
-        assert code == 2
-        assert f"exceeds {cli.MAX_K0_ROWS}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -513,14 +428,6 @@ class TestOracleCompare:
         rows = {row["quantity"]: row for row in report["rows"]}
         assert rows["dtau_B"]["pass"] and rows["v_inv"]["pass"]
 
-    def test_overflowing_two_mv_exits_3(self, tmp_path, capsys):
-        out = tmp_path / "oc.json"
-        code = main(["oracle-compare", "--height", "1e308", "--mass", "10",
-                     "--out", str(out)])
-        assert code == 3
-        assert "2mV overflows" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestResonancesCmd:
     def test_report(self, tmp_path):
@@ -605,18 +512,6 @@ class TestResonancesCmd:
         assert len(report["poles"]) == n_poles
         assert report["remainder_check"]["ok"]
 
-    @pytest.mark.parametrize("flags", [
-        ["--a", "700", "--re-min", "1.0", "--re-max", "1.1", "--im-min", "-2"],
-        ["--a", "2000", "--re-min", "1.0", "--re-max", "1.001"],
-    ])
-    def test_walk_overflow_fails_at_once(self, tmp_path, capsys, flags):
-        out = tmp_path / "res.json"
-        assert main(["resonances", *flags, "--out", str(out)]) == 3
-        # labelled by its class, not as a parameter outside a domain
-        assert capsys.readouterr().err.startswith(
-            "NonConvergenceError: winding contour: W is 0 or inf at k = ")
-        assert not out.exists()
-
     def test_count_mismatch_exits_4_naming_both_counts(self, tmp_path, capsys,
                                                        monkeypatch):
         # a harvest one root short of the winding count
@@ -638,20 +533,6 @@ class TestResonancesCmd:
         assert len(report["poles"]) == 180
         assert report["remainder_check"]["ok"]
         assert all(p["residual"] < 1e-10 for p in report["poles"])
-
-    def test_very_thick_barrier_answers_or_names_both_counts(self, tmp_path,
-                                                             capsys):
-        out = tmp_path / "res.json"
-        code = main(["resonances", "--a", "200", "--out", str(out)])
-        if code == 0:
-            report = json.loads(out.read_text())
-            assert report["remainder_check"]["ok"]
-            assert all(p["residual"] < 1e-10 for p in report["poles"])
-        else:
-            assert code == 4
-            assert re.search(r"winding count \d+ != harvest \d+",
-                             capsys.readouterr().err)
-            assert not out.exists()
 
 
 class TestPropagate:
@@ -768,28 +649,20 @@ class TestPropagate:
 
 
 class TestExtremeInputs:
-    # every row of cli_exit_codes.tsv; most used to end in a traceback (exit
+    # every row of cli_exit_codes.tsv; many used to end in a traceback (exit
     # 1) or a RuntimeWarning, which pytest makes an error
     @pytest.mark.parametrize("row", EXIT_CODE_ROWS,
                              ids=lambda row: f"{row['argv']}-{row['code']}")
     def test_exit_code(self, tmp_path, capsys, row):
-        run_row(row["argv"], tmp_path / "x.out")
+        out = tmp_path / "x.out"
+        run_row(row["argv"], out)
         err, prefix = capsys.readouterr().err, row["stderr_prefix"]
-        assert err.startswith(prefix) if prefix else err == ""
-
-    @pytest.mark.parametrize("a", ["1e-23", "1e-8"])
-    def test_branch_point_overflow_is_a_domain_error(self, tmp_path, capsys, a):
-        # 2mV a = 2e-323 and 2e-308: not free, but the branch-point term
-        # [k tau]_0 sin(x)/(k0^2 L0) ~ 1/(m V a) leaves the float range
-        # ([k tau]_0 itself at 1e-23, the product at 1e-8)
-        out = tmp_path / "s.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["sweep", "--height", "1e-300", "--a", a, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "domain error: branch-point term overflows" in err
-        assert "RuntimeWarning" not in err
-        assert not list(tmp_path.iterdir())
+        if prefix:
+            assert err.startswith(prefix)
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert err == ""
+            assert out.exists()
 
     def test_underflowing_two_mv_is_the_free_reduction(self, tmp_path):
         out = tmp_path / "s.csv"
