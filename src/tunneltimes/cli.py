@@ -17,6 +17,7 @@ written) or fails (a labelled message on stderr, no file written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -372,6 +373,7 @@ COMMANDS = {
                   (*_BARRIER_KEYS, "L0", "k0_list", "detector_x", "out")),
 }
 
+@functools.cache  # one per process: parse_args keeps no state in it, and no caller edits it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunneltimes",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CountMismatchError, DomainError, NonConvergenceError
 from .phasetime import _phase_slope
-from .scattering import Barrier, _w_terms, amplitude_grid
+from .scattering import Barrier, _w_form, _w_kernels, _w_terms, amplitude_grid
 
 _NEWTON_STEPS = 60
 _POLISH_RTOL = 1e-12
@@ -208,11 +208,26 @@ def _index_seeds(barrier: Barrier, rect) -> np.ndarray:
     return np.concatenate(seeds)
 
 
-def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
-    """Distinct roots of W_parity inside rect, sorted by real part.
+def _newton(seeds: np.ndarray, barrier: Barrier):
+    """(k+, k-): each seed after _NEWTON_STEPS Newton steps on W+ and on W-,
+    none longer than 0.2. The seeds are stacked twice, and each step's one
+    kernel pass forms W+ on the first copy and W- on the second."""
+    n, a = seeds.size, barrier.width
+    k = np.concatenate([seeds, seeds])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            kern = _w_kernels(k, barrier, chi=True)
+            step = np.concatenate([
+                np.divide(*_w_form(p, a, {x: v[h] for x, v in kern.items()}, True)[1:])
+                for p, h in (("+", slice(None, n)), ("-", slice(n, None)))])
+            k = k - np.where(np.abs(step) > 0.2, 0.2 * step / np.abs(step), step)
+    return np.split(k, 2)
 
-    Each seed takes _NEWTON_STEPS Newton steps on W_parity, none longer than
-    0.2. A root is kept when it lies inside rect and |W|/|W_numerator| <
+
+def _harvest(k: np.ndarray, barrier: Barrier, rect, parity: str):
+    """Distinct roots of W_parity inside rect among the iterates k, sorted by Re k.
+
+    A root is kept when it lies inside rect and |W|/|W_numerator| <
     max(_POLISH_RTOL, 4 eps |k W'|/|W_numerator|). A candidate within
     max(_DEDUP_TOL, 4 eps |W_numerator|/|W'|) of an earlier kept root, the
     larger of the tolerance and that root's rounding radius, is a duplicate,
@@ -220,18 +235,11 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
     need the radius: at 2mV = 2e-12 two seeds settle on one root near
     Im k = -2 up to 3e-4 apart, within its radius of 5e-4 to 1.5e-3.
 
-    The closing evaluation shares the Newton loop's errstate: a seed with no
-    root nearby may overflow or turn NaN, and then fails the finiteness test
-    without a warning.
+    An iterate with no root nearby may have overflowed or turned NaN; it
+    fails the finiteness test without a warning.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = seeds
-        for _ in range(_NEWTON_STEPS):
-            _, W, dW = _w_terms(k, barrier, parity, slope=True)[parity]
-            step = W / dW
-            step = np.where(np.abs(step) > 0.2, 0.2 * step / np.abs(step), step)
-            k = k - step
         Wn, W, dW = _w_terms(k, barrier, parity, slope=True)[parity]
         abs_wn = np.maximum(np.abs(Wn), 1e-300)
         cut = np.maximum(_POLISH_RTOL,
@@ -257,15 +265,15 @@ def _harvest(seeds: np.ndarray, barrier: Barrier, rect, parity: str):
 def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
     """All poles of F+ and F- inside a complex-k rectangle.
 
-    The seeds are formed once (_index_seeds; a free barrier forms none and
-    has no poles). Per parity, the Newton harvest (see _harvest: _NEWTON_STEPS
-    damped steps, duplicates within a root's rounding radius dropped) is
-    cross-checked against the argument-principle winding count, so a pole
+    The seeds are formed once (_index_seeds; a free barrier forms none and has
+    no poles) and step for both parities at once (_newton). Per parity, the
+    harvest (see _harvest: duplicates within a root's rounding radius dropped)
+    is cross-checked against the argument-principle winding count, so a pole
     the seeds miss is a CountMismatchError, not a short list. A root is kept
     if its relative residual is below _POLISH_RTOL = 1e-12 or the rounding
-    floor 4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor:
-    k ~ 1.000493 - 2.0e-5 i at a = 100 settles at 1.9e-12, and the floor
-    there is ~2e-11; at the reference barrier it stays under 1e-12.
+    floor 4 eps |k W'|/|W_num| of W. Thick barriers stall at that floor: k ~
+    1.000493 - 2.0e-5 i at a = 100 settles at 1.9e-12, and the floor there is
+    ~2e-11; at the reference barrier it stays under 1e-12.
 
     Parameters
     ----------
@@ -291,8 +299,8 @@ def find_poles(barrier: Barrier, search_rect) -> list[ResonancePole]:
         return []
 
     out: list[ResonancePole] = []
-    for parity in ("+", "-"):
-        roots = _harvest(seeds, barrier, rect, parity)
+    for parity, k in zip("+-", _newton(seeds, barrier)):
+        roots = _harvest(k, barrier, rect, parity)
         n_wind = winding_count(barrier, rect, parity)
         if n_wind != len(roots):
             raise CountMismatchError(

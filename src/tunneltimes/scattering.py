@@ -92,7 +92,35 @@ class Barrier:
     def from_two_mv(cls, two_mv: float, width: float, mass: float = 1.0) -> "Barrier":
         """Build a barrier specified by 2 m V (the common figure convention)."""
         _check_mass(mass)  # before V = 2mV / 2m divides by it
-        return cls(height=two_mv / (2.0 * mass), width=width, mass=mass)
+        if math.isfinite(two_mv) and not math.isfinite(height := two_mv / (2.0 * mass)):
+            raise DomainError(f"V = 2mV/2m overflows for 2mV = {two_mv}, m = {mass}")
+        return cls(height=height, width=width, mass=mass)
+
+
+def _w_kernels(k, barrier: Barrier, chi: bool) -> dict:
+    """k (complex), u = kappa^2 and the even kernels of kappa a/2, by name."""
+    k, a = np.asarray(k, dtype=complex), barrier.width
+    u = barrier.l0_sq - k * k
+    names = ("cosh", "sinhc", "chi") if chi else ("cosh", "sinhc")
+    return {"k": k, "u": u, **even_kernels(u * a * a / 4.0, names)}
+
+
+def _w_form(parity, a, kern, slope):
+    """(num, den) of W_parity (see _w_terms) from _w_kernels, and d den/dk if slope."""
+    k, u, c, s = kern["k"], kern["u"], kern["cosh"], kern["sinhc"]
+    if parity == "+":
+        kc = k * c
+        ks = u * (a / 2.0) * s           # kappa * sinh(kappa a / 2)
+        w = (kc - 1j * ks, kc + 1j * ks)
+        if slope:
+            w += (c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c),)
+    else:
+        kas = k * (a / 2.0) * s
+        w = (kas - 1j * c, kas + 1j * c)
+        if slope:  # a^3 as np.float64 overflows to inf (a >~ 5.6e102), not OverflowError
+            w += ((a / 2.0) * s - (np.float64(a)**3 * k * k / 8.0) * kern["chi"]
+                  - 1j * (a * a * k / 4.0) * s,)
+    return w
 
 
 def _w_terms(k, barrier: Barrier, parities="+-", slope=False):
@@ -111,26 +139,8 @@ def _w_terms(k, barrier: Barrier, parities="+-", slope=False):
     with slope, {parity: (num, den, d den/dk)}, the odd slope taking
     chi = (c - s)/(kappa a/2)^2 from the same pass.
     """
-    k = np.asarray(k, dtype=complex)
-    a = barrier.width
-    u = barrier.l0_sq - k * k            # kappa^2
-    names = ("cosh", "sinhc", "chi") if slope and "-" in parities else ("cosh", "sinhc")
-    kern = even_kernels(u * a * a / 4.0, names)
-    c, s = kern["cosh"], kern["sinhc"]
-    w = {}
-    if "+" in parities:
-        kc = k * c
-        ks = u * (a / 2.0) * s           # kappa * sinh(kappa a / 2)
-        w["+"] = (kc - 1j * ks, kc + 1j * ks)
-        if slope:
-            w["+"] += (c - (a * a * k * k / 4.0) * s - 1j * (a * k / 2.0) * (s + c),)
-    if "-" in parities:
-        kas = k * (a / 2.0) * s
-        w["-"] = (kas - 1j * c, kas + 1j * c)
-        if slope:
-            w["-"] += ((a / 2.0) * s - (a**3 * k * k / 8.0) * kern["chi"]
-                       - 1j * (a * a * k / 4.0) * s,)
-    return w
+    kern = _w_kernels(k, barrier, slope and "-" in parities)
+    return {p: _w_form(p, barrier.width, kern, slope) for p in "+-" if p in parities}
 
 
 def amplitude_grid(k, barrier: Barrier):

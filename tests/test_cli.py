@@ -347,6 +347,32 @@ class TestPerCommandFlags:
                                  for command, flags in READ_FLAGS.items()}
         assert sum(map(len, command_flags.values())) == 42
 
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_value_carries_over_between_calls(self, tmp_path):
+        # one parser serves every call of main: a flag or config value of
+        # one call must not reach the next
+        grid = ["--k0-min", "0.1", "--k0-max", "0.5", "--k0-step", "0.1"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"a": 7.0, "two_mV": 2.0, "L0": [40.0]}))
+        runs = [["sweep", *grid],
+                ["figure", "fig3", "--a", "5", "--mass", "2", "--l0", "20",
+                 "--k0-min", "0.2", "--k0-max", "0.3", "--k0-step", "0.05"],
+                ["sweep", *grid], ["--config", str(cfg_path), "sweep", *grid],
+                ["sweep", *grid]]
+        outs = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{i}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[2] == outs[4]
+        assert outs[0].startswith(b"# natural units: hbar=1; a=15 m=1 two_mV=1 ")
+        assert outs[3].startswith(b"# natural units: hbar=1; a=7 m=1 two_mV=2 ")
+        args = cli.build_parser().parse_args(["sweep"])
+        assert args.config is None
+        assert all(getattr(args, key) is None for key in cli._GRID_KEYS)
+
 
 class TestFigure:
     def test_fig3_columns_and_values(self, tmp_path, barrier):

@@ -360,7 +360,28 @@ GRID_CASES = [
 ]
 
 
+# (2mV, a, rect): the benchmark's three reports, thick barriers near the
+# index limit, a thin barrier on a deep rectangle on both sides of Re k = 0,
+# and a width whose a^3 overflows, where the W- iterate turns NaN
+NEWTON_CASES = [
+    (1.0, 15.0, _DEFAULT_RECT), (1.0, 15.0, (0.5, 6.0, -1.0, 0.0)),
+    (1.0, 60.0, _DEFAULT_RECT), (1.0, 280.0, _DEFAULT_RECT),
+    (4.0, 350.0, _DEFAULT_RECT), (1.0, 1.3, (-3.0, 3.0, -3.0, -1e-13)),
+    (1e-300, 1e103, (1e-300, 2e-300, -1e-300, -1e-301)),
+]
+
+
 class TestMaskedNewton:
+    @pytest.mark.parametrize("two_mv, a, rect", NEWTON_CASES)
+    def test_stacked_newton_matches_per_parity_loop(self, two_mv, a, rect):
+        # both parities in one array take exactly the per-parity iterates,
+        # NaN included
+        b = Barrier.from_two_mv(two_mv, a)
+        seeds = resonances._index_seeds(b, rect)
+        assert seeds.size
+        for parity, k in zip("+-", resonances._newton(seeds, b)):
+            assert np.array_equal(k, _plain_newton(seeds, b, parity), equal_nan=True)
+
     @pytest.mark.parametrize("a, rect", BENCH_CASES)
     def test_harvest_matches_plain_loop(self, a, rect):
         b = Barrier.from_two_mv(1.0, a)
